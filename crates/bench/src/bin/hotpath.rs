@@ -1,12 +1,12 @@
 //! Dependency-free hot-path benchmark: requests/sec for full-device replay.
 //!
-//! criterion needs crates.io, which the build environment cannot reach, so
-//! this binary measures the end-to-end hot path with nothing but
-//! `std::time::Instant`: it replays a scaled `ts_0` synthetic trace through
-//! the Req-block policy and LRU on the paper's 16 MB device, repeats each
-//! replay a few times, and reports best-of and median-of-repeats
-//! requests/sec as JSON (the regression gate reads the median — it is
-//! robust to a single noisy repeat in either direction).
+//! The workspace builds with no registry access, so this binary measures
+//! the end-to-end hot path with nothing but `std::time::Instant`: it
+//! replays a scaled `ts_0` synthetic trace through the Req-block policy
+//! and LRU on the paper's 16 MB device, repeats each replay a few times,
+//! and reports best-of and median-of-repeats requests/sec as JSON (the
+//! regression gate reads the median — it is robust to a single noisy
+//! repeat in either direction).
 //!
 //! Each policy is measured four times: with the no-op recorder (the normal
 //! synchronous path — this is what the regression gates watch, since a

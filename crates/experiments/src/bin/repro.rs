@@ -19,13 +19,14 @@
 //!   faults      extension: seeded fault-rate sweep (retries, bad blocks,
 //!               remapped pages, device health)
 //!   qdepth      extension: X5 response time vs host queue depth per
-//!               policy, queued submit mode (default depths 1-32;
-//!               `--depths 1,2,4,...` picks the grid)
+//!               policy, queued submit mode (`--depths 1,2,4,...`
+//!               overrides the scenario's qdepth axis)
 //!   load        extension: X6 latency vs offered throughput — the ts_0
 //!               request mix re-timed by open-loop Poisson/bursty arrival
 //!               processes, p50/p99/p99.9 per policy and offered rate
-//!               (default multipliers 0.25x-8x; `--rates 0.5,2,...` picks
-//!               the grid)
+//!               (`--rates 0.5,2,...` overrides the load_mult axis)
+//!               The six commands above run the committed
+//!               scenarios/<command>.toml exactly like `repro run`.
 //!   why         tail forensics: per-component latency attribution across
 //!               policy x depth x offered load, plus Perfetto-loadable
 //!               trace JSON and size-rotated telemetry shards per point
@@ -79,9 +80,10 @@ fn usage() -> ! {
           tails|wear|ablations|faults|qdepth|load|why|fleet|telemetry|run|export|all|--list>\n\
          --threads defaults to the host's available parallelism; \
          --threads 1 is the explicit serial mode (identical output)\n\
-         --depths picks the qdepth sweep's queue-depth grid (default 1,2,4,8,16,32)\n\
+         --depths picks the qdepth sweep's queue-depth grid \
+         (default: scenarios/qdepth.toml)\n\
          --rates picks the load sweep's offered-rate multipliers \
-         (default 0.25,0.5,1,2,4,8)\n\
+         (default: scenarios/load.toml)\n\
          --devices picks the fleet sweep's device counts (default 4,16)\n\
          run <scenario.toml> compiles a declarative scenario into the job pool; \
          --list shows every known scenario with its axes and job count"
@@ -117,11 +119,11 @@ fn parse_list<T: std::str::FromStr>(flag: &str, v: &str) -> Vec<T> {
 /// Extra CLI state that does not belong in the library-level [`Opts`].
 #[derive(Default)]
 struct CliExtras {
-    /// Queue-depth grid for `qdepth` (`--depths`); `None` = the default
-    /// [`extensions::QDEPTH_SWEEP`].
+    /// Queue-depth grid for `qdepth` (`--depths`); `None` = the builtin
+    /// scenario's `qdepth` axis.
     depths: Option<Vec<u32>>,
     /// Offered-rate multipliers for `load` (`--rates`); `None` = the
-    /// default [`extensions::LOAD_SWEEP`].
+    /// builtin scenario's `load_mult` axis.
     rates: Option<Vec<f64>>,
     /// Device counts for `fleet` (`--devices`); `None` = the default
     /// [`extensions::FLEET_DEVICES`].
@@ -331,15 +333,35 @@ fn run_fleet(opts: &Opts, devices: &[usize]) {
     emit(opts, "fleet", &[report.table, extensions::fleet_scaling_build(&scaling)]);
 }
 
-/// `repro run <scenario.toml>`: parse, validate, plan, and run one
-/// declarative scenario through the barrier-free pool, then emit its
-/// sections, charts, and per-section digests.
-fn run_scenario(opts: &Opts, path: &str) {
+/// Parse and validate the scenario file behind `repro run <path>`.
+fn scenario_file(path: &str) -> scenario::Scenario {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("run: cannot read {path}: {e}")));
-    let sc = scenario::Scenario::parse(&text)
-        .unwrap_or_else(|e| fail(&format!("run: {path}: {e}")));
-    let plan = scenario::plan(&sc, opts).unwrap_or_else(|e| fail(&format!("run: {path}: {e}")));
+    scenario::Scenario::parse(&text).unwrap_or_else(|e| fail(&format!("run: {path}: {e}")))
+}
+
+/// The built-in scenario behind a grid subcommand (`repro qdepth`, ...),
+/// with the `--depths`/`--rates` overrides applied to its axes.
+fn builtin_scenario(cmd: &str, extras: &CliExtras) -> scenario::Scenario {
+    let mut sc = scenario::builtin(cmd).expect("every grid subcommand is a builtin scenario");
+    let axis_override = match cmd {
+        "qdepth" => extras.depths.as_ref().map(|d| {
+            ("qdepth", scenario::AxisValues::Ints(d.iter().map(|&x| i64::from(x)).collect()))
+        }),
+        "load" => extras.rates.clone().map(|r| ("load_mult", scenario::AxisValues::Floats(r))),
+        _ => None,
+    };
+    if let Some((axis, values)) = axis_override {
+        sc.set_axis(axis, values).unwrap_or_else(|e| fail(&format!("{cmd}: {e}")));
+    }
+    sc
+}
+
+/// Plan and run one validated scenario through the barrier-free pool,
+/// then emit its sections, charts, and per-section digests. `origin`
+/// (file path or subcommand) prefixes planning errors.
+fn run_scenario(opts: &Opts, sc: &scenario::Scenario, origin: &str) {
+    let plan = scenario::plan(sc, opts).unwrap_or_else(|e| fail(&format!("{origin}: {e}")));
     let jobs = plan.job_count();
     eprintln!(
         "running scenario {} ({} kind, {} jobs, {} threads, scale {}) ...",
@@ -450,17 +472,8 @@ fn main() -> ExitCode {
             let (samples, shares) = figures::fig13(&opts);
             emit(&opts, "fig13", &[shares, samples]);
         }
-        "tails" => emit(&opts, "tails", &[extensions::tails(&opts)]),
-        "wear" => emit(&opts, "wear", &[extensions::wear(&opts)]),
-        "ablations" => emit(&opts, "ablations", &[extensions::ablations(&opts)]),
-        "faults" => emit(&opts, "faults", &[extensions::fault_sweep(&opts)]),
-        "qdepth" => {
-            let depths = extras.depths.as_deref().unwrap_or(&extensions::QDEPTH_SWEEP);
-            emit(&opts, "qdepth", &[extensions::qdepth_sweep_depths(&opts, depths)]);
-        }
-        "load" => {
-            let rates = extras.rates.as_deref().unwrap_or(&extensions::LOAD_SWEEP);
-            emit(&opts, "load", &[extensions::load_sweep_rates(&opts, rates)]);
+        "tails" | "wear" | "ablations" | "faults" | "qdepth" | "load" => {
+            run_scenario(&opts, &builtin_scenario(cmd, &extras), cmd);
         }
         "why" => run_why(&opts),
         "fleet" => {
@@ -471,7 +484,10 @@ fn main() -> ExitCode {
             let trace = operands.first().map(String::as_str).unwrap_or("ts_0");
             run_telemetry(&opts, trace);
         }
-        "run" => run_scenario(&opts, &operands[0]),
+        "run" => {
+            let path = &operands[0];
+            run_scenario(&opts, &scenario_file(path), &format!("run: {path}"));
+        }
         "list" => run_list(),
         "export" => {
             let (trace, path) = (&operands[0], &operands[1]);

@@ -1,21 +1,22 @@
 //! Extension experiments beyond the paper's figures.
 //!
-//! * [`tails`] — response-time percentiles per policy (the paper reports
-//!   means only; the policies differ most in their tails).
-//! * [`wear`] — GC activity, write amplification and wear ceiling per
-//!   policy over a cache-pressure workload.
-//! * [`ablations`] — what each Req-block design choice buys (DESIGN.md
-//!   A1-A4), measured head-to-head.
-//! * [`fault_sweep`] — reliability: the same run replayed under rising
-//!   seeded fault rates (read/program/erase), reporting retries, retired
-//!   bad blocks, remapped pages and the device health outcome.
+//! The grid-shaped extensions (tails, wear, ablations, faults, qdepth) are
+//! plain `grid` scenario files under `scenarios/`, run through
+//! [`scenario::run_builtin`](crate::scenario::run_builtin); this module
+//! holds what they share with the bespoke experiments:
+//!
+//! * [`ablation_variants`] — the Req-block/BPLRU design-choice variants
+//!   (DESIGN.md A1-A4), which a scenario's `policy` axis names directly.
+//! * the pressured device the fault sweep runs on, and the calibrated
+//!   service gap the open-loop sweeps anchor their offered rates on.
+//! * the X6 `load` table renderer (its bursty rows are not grid points).
+//! * [`why`] — X7: per-request tail forensics with Perfetto trace export.
 //! * [`fleet`] — X8: a multi-device fleet under a blended three-tenant
 //!   mix, per-tenant p50/p99/p999 and a noisy-neighbor delta per
 //!   placement x device-count grid point (see `reqblock_sim::fleet`).
 
 use crate::figures::Opts;
 use crate::report::{f2, f3, pct, Table};
-use crate::scenario::{self, AxisValues};
 use reqblock_cache::policies::BplruConfig;
 use reqblock_core::{PriorityModel, ReqBlockConfig};
 use reqblock_obs::telemetry::to_jsonl;
@@ -44,11 +45,16 @@ pub(crate) fn calibrated_service_gap_ns(base: &TraceSource) -> u64 {
     (cal.metrics.max_response_ns / (requests.len() as u64).max(1)).max(1)
 }
 
+/// Write-buffer pages of the pressured device: the pressured golden run's
+/// 64-page buffer, small enough that evictions keep the FTL busy.
+pub const PRESSURED_CACHE_PAGES: usize = 64;
+
 /// A deliberately tight flash array for one workload (~115% of the write
 /// footprint, like the pressured golden run): a two-chip device sized so
 /// the append stream cycles the free-block pool and GC erases fire, which
 /// is what lets the fault sweep exercise erase faults and block
-/// retirement alongside program faults.
+/// retirement alongside program faults. Paired with
+/// [`PRESSURED_CACHE_PAGES`] by the scenario `geometry = "pressured"`.
 pub(crate) fn pressured_ssd(profile: &WorkloadProfile) -> reqblock_flash::SsdConfig {
     let mut ssd = reqblock_flash::SsdConfig::paper();
     ssd.channels = 2;
@@ -58,61 +64,6 @@ pub(crate) fn pressured_ssd(profile: &WorkloadProfile) -> reqblock_flash::SsdCon
     let want_pages = (footprint as f64 * 1.15) as u64;
     ssd.capacity_bytes = want_pages.div_ceil(block_pages).max(8) * block_pages * ssd.page_size;
     ssd
-}
-
-/// Percentile columns reported by [`tails`].
-pub const TAIL_QUANTILES: [(f64, &str); 4] =
-    [(0.50, "p50 (ms)"), (0.95, "p95 (ms)"), (0.99, "p99 (ms)"), (1.0, "max (ms)")];
-
-/// Render the tails table from grid results (the `tails` scenario's job
-/// order: trace-major over the policy axis).
-pub(crate) fn tails_build(results: Vec<(String, RunResult)>) -> Table {
-    let mut cols = vec!["Trace", "Policy", "mean (ms)"];
-    for (_, label) in TAIL_QUANTILES {
-        cols.push(label);
-    }
-    let mut t = Table::new("Extension - Response time percentiles (32MB)", &cols);
-    for (label, r) in results {
-        let (trace, policy) = label.split_once('/').expect("label format");
-        let mut row = vec![trace.to_string(), policy.to_string(), f3(r.metrics.avg_response_ms())];
-        for (q, _) in TAIL_QUANTILES {
-            row.push(f3(r.metrics.response_percentile_ms(q)));
-        }
-        t.push_row(row);
-    }
-    t
-}
-
-/// Response-time tail percentiles for the four compared policies, 32 MB
-/// (the committed `scenarios/tails.toml` grid).
-pub fn tails(opts: &Opts) -> Table {
-    scenario::run_builtin("tails", opts).into_single_table()
-}
-
-/// Render the wear table from grid results (the `wear` scenario's job
-/// order: one job per policy).
-pub(crate) fn wear_build(results: Vec<(String, RunResult)>) -> Table {
-    let mut t = Table::new(
-        "Extension - GC activity and write amplification (proj_0-like, 32MB)",
-        &["Policy", "User programs", "GC programs", "GC runs", "Erases", "WA"],
-    );
-    for (label, r) in results {
-        t.push_row(vec![
-            label,
-            r.flash.user_programs.to_string(),
-            r.flash.gc_programs.to_string(),
-            r.ftl.gc_runs.to_string(),
-            r.flash.erases.to_string(),
-            f2(r.flash.write_amplification()),
-        ]);
-    }
-    t
-}
-
-/// GC / wear statistics per policy on the most write-intensive workload
-/// (the committed `scenarios/wear.toml` grid).
-pub fn wear(opts: &Opts) -> Table {
-    scenario::run_builtin("wear", opts).into_single_table()
 }
 
 /// The Req-block/BPLRU ablation variants (DESIGN.md A1-A4).
@@ -152,135 +103,6 @@ pub fn ablation_variants() -> Vec<(&'static str, PolicyKind)> {
     ]
 }
 
-/// Render the ablation table from grid results (the `ablations`
-/// scenario's job order: trace-major over the variant axis).
-pub(crate) fn ablations_build(results: Vec<(String, RunResult)>) -> Table {
-    let mut t = Table::new(
-        "Extension - Ablations (32MB)",
-        &["Variant", "Trace", "Hit ratio", "Avg resp (ms)", "Flash writes", "Pages/eviction"],
-    );
-    for (label, r) in results {
-        let (name, trace) = label.split_once('|').expect("label format");
-        t.push_row(vec![
-            name.to_string(),
-            trace.to_string(),
-            f3(r.metrics.hit_ratio()),
-            f3(r.metrics.avg_response_ms()),
-            r.flash.user_programs.to_string(),
-            f2(r.metrics.avg_pages_per_eviction()),
-        ]);
-    }
-    t
-}
-
-/// Ablation comparison on the two most revealing workloads (the committed
-/// `scenarios/ablations.toml` grid).
-pub fn ablations(opts: &Opts) -> Table {
-    scenario::run_builtin("ablations", opts).into_single_table()
-}
-
-/// Per-op fault rates (parts per million) swept by [`fault_sweep`]. The
-/// same rate is applied to reads, programs, and erases at each step.
-pub const FAULT_SWEEP_PPM: [u32; 4] = [0, 500, 2_000, 10_000];
-
-/// Render the fault table from grid results (the `faults` scenario's job
-/// order: one job per fault rate).
-pub(crate) fn fault_build(results: Vec<(String, RunResult)>) -> Table {
-    let mut t = Table::new(
-        "Extension - Fault-rate sweep (Req-block, pressured device, fixed seed)",
-        &[
-            "Fault ppm",
-            "Read retries",
-            "Uncorrectable",
-            "Program fails",
-            "Erase fails",
-            "Bad blocks",
-            "Remapped pages",
-            "Rejected pages",
-            "Health",
-            "Avg resp (ms)",
-        ],
-    );
-    for (label, r) in results {
-        let f = &r.faults;
-        t.push_row(vec![
-            label,
-            f.read_retries.to_string(),
-            f.read_uncorrectable.to_string(),
-            f.program_failures.to_string(),
-            f.erase_failures.to_string(),
-            f.retired_blocks.to_string(),
-            f.remapped_pages.to_string(),
-            f.rejected_write_pages.to_string(),
-            format!("{:?}", r.health),
-            f3(r.metrics.avg_response_ms()),
-        ]);
-    }
-    t
-}
-
-/// Reliability extension: one workload replayed under rising fault rates
-/// on a pressured device (the committed `scenarios/faults.toml` grid).
-/// Every run uses the same seeded fault stream, so the table is
-/// reproducible bit-for-bit; the zero-ppm row doubles as a control that
-/// matches a fault-free device.
-pub fn fault_sweep(opts: &Opts) -> Table {
-    scenario::run_builtin("faults", opts).into_single_table()
-}
-
-/// Host queue depths swept by [`qdepth_sweep`] (X5).
-pub const QDEPTH_SWEEP: [u32; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Render the X5 table from grid results (the `qdepth` scenario's job
-/// order: policy-major over the depth axis).
-///
-/// Depth 1 is definitionally the synchronous paper model (the property and
-/// golden tests pin the equality); deeper windows let eviction flushes
-/// retire in the background, so the sweep isolates how much of each
-/// policy's response time is buffer-induced stall that a queueing host
-/// could hide. Flash traffic is depth-invariant by construction.
-pub(crate) fn qdepth_build(results: Vec<(String, RunResult)>) -> Table {
-    let mut t = Table::new(
-        "Extension - X5: response time vs host queue depth (ts_0, 32MB)",
-        &["Policy", "Depth", "Mean resp (ms)", "p99 (ms)", "Flush stalls", "Stall time (ms)"],
-    );
-    for (label, r) in results {
-        let (policy, depth) = label.rsplit_once("/qd").expect("qdepth label is policy/qdN");
-        t.push_row(vec![
-            policy.to_string(),
-            depth.to_string(),
-            f3(r.metrics.avg_response_ms()),
-            f3(r.metrics.response_percentile_ms(0.99)),
-            r.metrics.flush_stalls.to_string(),
-            f2(r.metrics.flush_stall_ns as f64 / 1e6),
-        ]);
-    }
-    t
-}
-
-/// X5 extension: mean and p99 response time vs host queue depth 1-32.
-pub fn qdepth_sweep(opts: &Opts) -> Table {
-    qdepth_sweep_depths(opts, &QDEPTH_SWEEP)
-}
-
-/// [`qdepth_sweep`] over a caller-chosen depth list (`repro qdepth
-/// --depths 1,2,4,...`). Depths may repeat or be unordered; rows follow the
-/// given order per policy.
-pub fn qdepth_sweep_depths(opts: &Opts, depths: &[u32]) -> Table {
-    assert!(!depths.is_empty(), "qdepth sweep needs at least one depth");
-    let mut sc = scenario::builtin("qdepth").expect("builtin qdepth scenario");
-    sc.set_axis("qdepth", AxisValues::Ints(depths.iter().map(|&d| d as i64).collect()))
-        .expect("valid depth list");
-    scenario::run(&sc, opts).expect("qdepth scenario plans").into_single_table()
-}
-
-/// Offered-load multipliers swept by [`load_sweep`] (X6), relative to the
-/// device's *calibrated back-to-back service rate* for the same request
-/// mix. The span brackets the knee by construction: below 1x the device
-/// keeps up (response ~= service time), above 1x arrivals outrun service
-/// and the open-loop response diverges.
-pub const LOAD_SWEEP: [f64; 6] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
-
 /// Burst shape of the X6 bursty rows: bursts of 64 requests arriving 8x
 /// faster than the long-run rate, idle gaps in between (same offered rate).
 pub const LOAD_BURST: (u32, u32) = (64, 8);
@@ -289,7 +111,7 @@ pub const LOAD_BURST: (u32, u32) = (64, 8);
 /// order: per policy, one Poisson row per multiplier then the bursty row).
 ///
 /// Every job rewrites the same base trace's arrival times
-/// ([`TraceSource::OpenLoop`]): Poisson at each [`LOAD_SWEEP`] multiple of
+/// ([`TraceSource::OpenLoop`]): Poisson at each `load_mult` multiple of
 /// the calibrated service rate, plus one bursty row ([`LOAD_BURST`]) at 1x
 /// to show what burst clustering alone costs. Arrival seeds depend only on
 /// the rate step — every policy sees byte-identical arrivals, so the rows
@@ -331,27 +153,11 @@ pub(crate) fn load_build(results: Vec<(String, RunResult)>) -> Table {
     t
 }
 
-/// X6 extension: latency vs offered throughput per policy (open loop).
-pub fn load_sweep(opts: &Opts) -> Table {
-    load_sweep_rates(opts, &LOAD_SWEEP)
-}
-
-/// [`load_sweep`] over a caller-chosen rate-multiplier list (`repro load
-/// --rates 0.5,2,8`). Multipliers may repeat or be unordered; rows follow
-/// the given order per policy, with the fixed bursty 1x row appended like
-/// the default grid.
-pub fn load_sweep_rates(opts: &Opts, mults: &[f64]) -> Table {
-    assert!(!mults.is_empty(), "load sweep needs at least one rate multiplier");
-    let mut sc = scenario::builtin("load").expect("builtin load scenario");
-    sc.set_axis("load_mult", AxisValues::Floats(mults.to_vec())).expect("valid rate list");
-    scenario::run(&sc, opts).expect("load scenario plans").into_single_table()
-}
-
 /// Host queue depths probed by [`why`] (X7).
 pub const WHY_DEPTHS: [u32; 2] = [1, 8];
 
 /// Offered-load multipliers probed by [`why`], relative to the calibrated
-/// back-to-back service rate (same calibration as [`LOAD_SWEEP`]): one
+/// back-to-back service rate (same calibration as the `load` scenario): one
 /// point comfortably below the knee, one past it, one deep in overload.
 pub const WHY_LOADS: [f64; 3] = [0.5, 2.0, 8.0];
 
@@ -888,15 +694,33 @@ pub fn fleet_scaling_build(rows: &[FleetScalingRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{self, AxisValues};
     use std::path::PathBuf;
 
     fn tiny_opts() -> Opts {
         Opts { scale: 0.001, threads: 2, out_dir: PathBuf::from("/tmp"), trace_dir: None }
     }
 
+    /// The single table of one built-in scenario.
+    fn builtin_table(name: &str, opts: &Opts) -> Table {
+        scenario::run_builtin(name, opts).into_single_table()
+    }
+
+    /// One built-in scenario with one axis overridden, as `repro qdepth
+    /// --depths` / `repro load --rates` run it.
+    fn builtin_table_with(name: &str, axis: &str, values: AxisValues) -> Table {
+        let mut sc = scenario::builtin(name).unwrap();
+        sc.set_axis(axis, values).unwrap();
+        scenario::run(&sc, &tiny_opts()).unwrap().into_single_table()
+    }
+
+    fn axis_len(name: &str, axis: &str) -> usize {
+        scenario::builtin(name).unwrap().axis(axis).unwrap().len()
+    }
+
     #[test]
     fn tails_has_row_per_trace_policy() {
-        let t = tails(&tiny_opts());
+        let t = builtin_table("tails", &tiny_opts());
         assert_eq!(t.rows.len(), 24); // 6 traces x 4 policies
         // p50 <= p99 <= max per row.
         for row in &t.rows {
@@ -909,7 +733,7 @@ mod tests {
 
     #[test]
     fn wear_reports_four_policies() {
-        let t = wear(&tiny_opts());
+        let t = builtin_table("wear", &tiny_opts());
         assert_eq!(t.rows.len(), 4);
         for row in &t.rows {
             let wa: f64 = row[5].parse().unwrap();
@@ -919,14 +743,14 @@ mod tests {
 
     #[test]
     fn ablations_cover_all_variants() {
-        let t = ablations(&tiny_opts());
+        let t = builtin_table("ablations", &tiny_opts());
         assert_eq!(t.rows.len(), ablation_variants().len() * 2);
     }
 
     #[test]
     fn fault_sweep_zero_row_is_clean_and_faulty_rows_fault() {
-        let t = fault_sweep(&tiny_opts());
-        assert_eq!(t.rows.len(), FAULT_SWEEP_PPM.len());
+        let t = builtin_table("faults", &tiny_opts());
+        assert_eq!(t.rows.len(), axis_len("faults", "fault_ppm"));
         let zero = &t.rows[0];
         assert_eq!(zero[0], "0");
         for cell in &zero[1..8] {
@@ -942,14 +766,14 @@ mod tests {
 
     #[test]
     fn fault_sweep_is_reproducible() {
-        let a = fault_sweep(&tiny_opts());
-        let b = fault_sweep(&tiny_opts());
+        let a = builtin_table("faults", &tiny_opts());
+        let b = builtin_table("faults", &tiny_opts());
         assert_eq!(a.rows, b.rows, "same seed + config must give identical tables");
     }
 
     #[test]
     fn qdepth_sweep_accepts_custom_depth_list() {
-        let t = qdepth_sweep_depths(&tiny_opts(), &[1, 3]);
+        let t = builtin_table_with("qdepth", "qdepth", AxisValues::Ints(vec![1, 3]));
         assert_eq!(t.rows.len(), 4 * 2);
         for policy in PolicyKind::paper_comparison() {
             for depth in ["1", "3"] {
@@ -964,19 +788,20 @@ mod tests {
 
     #[test]
     fn load_sweep_covers_grid_and_latency_rises_with_load() {
-        let t = load_sweep(&tiny_opts());
+        let t = builtin_table("load", &tiny_opts());
+        let steps = axis_len("load", "load_mult");
         // Per policy: every Poisson step plus one bursty row.
-        assert_eq!(t.rows.len(), 4 * (LOAD_SWEEP.len() + 1));
+        assert_eq!(t.rows.len(), 4 * (steps + 1));
         for policy in PolicyKind::paper_comparison() {
             let rows: Vec<_> = t.rows.iter().filter(|r| r[0] == policy.name()).collect();
-            assert_eq!(rows.len(), LOAD_SWEEP.len() + 1, "{}", policy.name());
-            // Open loop: driving the same mix 32x harder (0.5x -> 16x) must
+            assert_eq!(rows.len(), steps + 1, "{}", policy.name());
+            // Open loop: driving the same mix 32x harder (0.25x -> 8x) must
             // not *improve* the mean response; past the knee it explodes.
             let lightest: f64 = rows.first().unwrap()[7].parse().unwrap();
-            let heaviest: f64 = rows[LOAD_SWEEP.len() - 1][7].parse().unwrap();
+            let heaviest: f64 = rows[steps - 1][7].parse().unwrap();
             assert!(
                 heaviest >= lightest,
-                "{}: mean at 16x load {heaviest} < mean at 0.5x {lightest}",
+                "{}: mean at the heaviest load {heaviest} < mean at the lightest {lightest}",
                 policy.name()
             );
         }
@@ -984,7 +809,7 @@ mod tests {
 
     #[test]
     fn load_sweep_accepts_custom_rate_list() {
-        let t = load_sweep_rates(&tiny_opts(), &[0.5, 4.0]);
+        let t = builtin_table_with("load", "load_mult", AxisValues::Floats(vec![0.5, 4.0]));
         // Per policy: both Poisson steps plus the fixed bursty row.
         assert_eq!(t.rows.len(), 4 * 3);
         for policy in PolicyKind::paper_comparison() {
@@ -1093,16 +918,16 @@ mod tests {
 
     #[test]
     fn load_sweep_is_thread_invariant() {
-        let serial = load_sweep(&Opts { threads: 1, ..tiny_opts() });
-        let parallel = load_sweep(&Opts { threads: 3, ..tiny_opts() });
+        let serial = builtin_table("load", &Opts { threads: 1, ..tiny_opts() });
+        let parallel = builtin_table("load", &Opts { threads: 3, ..tiny_opts() });
         assert_eq!(serial.rows, parallel.rows, "X6 must be byte-identical at any thread count");
     }
 
     #[test]
     fn qdepth_sweep_covers_grid_and_depth_one_is_synchronous() {
         let opts = tiny_opts();
-        let t = qdepth_sweep(&opts);
-        assert_eq!(t.rows.len(), 4 * QDEPTH_SWEEP.len());
+        let t = builtin_table("qdepth", &opts);
+        assert_eq!(t.rows.len(), 4 * axis_len("qdepth", "qdepth"));
         let profile = reqblock_trace::profiles::ts_0().scaled(opts.scale);
         for policy in PolicyKind::paper_comparison() {
             // The depth-1 row reports exactly what a synchronous run of the

@@ -6,8 +6,8 @@ use reqblock_obs::{Fanout, MemoryRecorder};
 use reqblock_sim::probes::{LargeReqHitProbe, SizeCdfProbe};
 use reqblock_obs::telemetry::{summary_rows, to_jsonl};
 use reqblock_sim::{
-    run_source_recorded, run_task_pool, run_trace_recorded, CacheSizeMb, Job, PolicyKind,
-    RunResult, SampleInterval, SimConfig, Task, TraceSource,
+    run_jobs, run_source_recorded, run_task_pool, run_trace_recorded, CacheSizeMb, Job,
+    PolicyKind, RunResult, SampleInterval, SimConfig, Task, TraceSource,
 };
 use reqblock_trace::stats::StatsBuilder;
 use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile};
@@ -95,50 +95,6 @@ pub(crate) fn take_slots<T>(slots: Vec<OnceLock<T>>) -> Vec<T> {
         .collect()
 }
 
-/// A planned simulation grid: jobs plus one result slot per job. `tasks`
-/// borrows the pool, so create it before assembling the task list and call
-/// [`JobPool::take_results`] after the pool has drained.
-pub(crate) struct JobPool {
-    jobs: Vec<Job>,
-    slots: Vec<OnceLock<RunResult>>,
-}
-
-impl JobPool {
-    pub(crate) fn new(jobs: Vec<Job>) -> Self {
-        let slots = jobs.iter().map(|_| OnceLock::new()).collect();
-        Self { jobs, slots }
-    }
-
-    /// Number of planned jobs.
-    pub(crate) fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// One task per job, routing each result into its slot.
-    pub(crate) fn tasks(&self) -> Vec<Task<'_>> {
-        self.jobs
-            .iter()
-            .zip(&self.slots)
-            .map(|(job, slot)| {
-                Task::new(job.label.clone(), move || {
-                    let result = reqblock_sim::run_source(&job.cfg, &job.source);
-                    let ok = slot.set(result).is_ok();
-                    debug_assert!(ok, "job slot filled twice");
-                })
-            })
-            .collect()
-    }
-
-    /// Labelled results in job order (call after the pool has drained).
-    pub(crate) fn take_results(self) -> Vec<(String, RunResult)> {
-        self.jobs
-            .into_iter()
-            .zip(take_slots(self.slots))
-            .map(|(job, result)| (job.label, result))
-            .collect()
-    }
-}
-
 /// One task per profile, routing `f(opts, profile)` into the matching slot.
 pub(crate) fn per_trace_tasks<'s, T: Send + Sync>(
     prefix: &str,
@@ -171,14 +127,6 @@ fn per_trace<T: Send + Sync>(
     let slots: Vec<OnceLock<T>> = profiles.iter().map(|_| OnceLock::new()).collect();
     run_task_pool(per_trace_tasks(prefix, opts, &profiles, &slots, &f), opts.threads);
     take_slots(slots)
-}
-
-/// [`reqblock_sim::run_jobs`] via a [`JobPool`] (same semantics; kept as a
-/// helper so the per-figure entry points stay one-liners).
-pub(crate) fn run_pool(jobs: Vec<Job>, threads: usize) -> Vec<(String, RunResult)> {
-    let pool = JobPool::new(jobs);
-    run_task_pool(pool.tasks(), threads);
-    pool.take_results()
 }
 
 // ---------------------------------------------------------------------
@@ -434,7 +382,7 @@ pub(crate) fn fig7_build(opts: &Opts, results: Vec<(String, RunResult)>) -> (Tab
 /// Figure 7: hit ratio and response time of Req-block at 32 MB for a range
 /// of delta values, normalized to delta = 1.
 pub fn fig7(opts: &Opts) -> (Table, Table) {
-    fig7_build(opts, run_pool(fig7_jobs(opts), opts.threads))
+    fig7_build(opts, run_jobs(&fig7_jobs(opts), opts.threads))
 }
 
 // ---------------------------------------------------------------------
@@ -570,7 +518,7 @@ pub(crate) fn comparison_build(opts: &Opts, results: Vec<(String, RunResult)>) -
 
 /// Run the full comparison grid (4 policies x 3 cache sizes x 6 traces).
 pub fn comparison(opts: &Opts) -> Comparison {
-    comparison_build(opts, run_pool(comparison_jobs(opts), opts.threads))
+    comparison_build(opts, run_jobs(&comparison_jobs(opts), opts.threads))
 }
 
 /// Replay-throughput summary of the comparison grid: host wall-clock and

@@ -7,7 +7,7 @@
 //! ```text
 //! [scenario]
 //! name = "qdepth"          # section name of the emitted table(s)
-//! kind = "qdepth"          # which compiler interprets the axes
+//! kind = "grid"            # which compiler interprets the axes
 //!
 //! [axes]                   # declaration order = nesting order
 //! trace = "ts_0"           # scalar = a one-value axis
@@ -16,43 +16,46 @@
 //!
 //! [output]                 # optional
 //! section = "qdepth"       # defaults to scenario.name
+//! columns = ["policy", "qdepth", "avg_resp_ms"]   # axes and metrics
+//! headers = ["Policy", "Depth", "Mean resp (ms)"] # one per column
 //! ```
 //!
 //! [`plan`] validates the axes against the kind's schema and compiles the
 //! cartesian grid into a flat job list with one order-preserving result
-//! slot per job (the PR4 [`reqblock_sim::run_task_pool`] contract), plus a
+//! slot per job (the [`reqblock_sim::run_task_pool`] contract), plus a
 //! pure build closure that renders the results into tables. Because task
 //! *claiming* order never influences which slot a result lands in, the
 //! rendered tables — and therefore each section's [`section_digest`] — are
 //! byte-identical at any thread count.
 //!
-//! The non-`grid` kinds (`comparison`, `tails`, `wear`, `ablations`,
-//! `faults`, `qdepth`, `load`) reproduce the hand-coded experiment grids
-//! that used to live in `figures.rs`/`extensions.rs`, byte for byte; the
+//! The generic `grid` kind composes any subset of the axes (policy x
+//! trace x scale x delta x qdepth x fault_ppm x load_mult x geometry)
+//! with a title/column/header/group-by output spec, one row per grid
+//! point; the tails, wear, ablations, faults and qdepth tables are plain
+//! `grid` files. Only two kinds stay bespoke, because their output is not
+//! one row per grid point: `comparison` renders seven sections (Figures
+//! 8-12, summary, perf) plus charts from one shared grid, and `load`
+//! appends a bursty arrival row per policy that is not a grid point. The
 //! committed files under `scenarios/` are the canonical definitions and
-//! are embedded here as [`BUILTIN_SCENARIOS`]. The generic `grid` kind
-//! composes any subset of the axes (policy x trace x scale x delta x
-//! qdepth x fault_ppm x load_mult x geometry) with a column/group-by
-//! output spec — every new experiment axis is one line in a scenario
-//! file, not a new module (ROADMAP item 5).
+//! are embedded here as [`BUILTIN_SCENARIOS`].
 
 pub mod toml;
 
 use crate::extensions::{
-    ablation_variants, ablations_build, calibrated_service_gap_ns, fault_build, load_build,
-    pressured_ssd, qdepth_build, tails_build, wear_build, LOAD_BURST,
+    ablation_variants, calibrated_service_gap_ns, load_build, pressured_ssd, LOAD_BURST,
+    PRESSURED_CACHE_PAGES,
 };
 use crate::figures::{
     comparison_build_from, comparison_jobs_from, fig10, fig11, fig12, fig8, fig9, perf_table,
-    policy_means, summary, JobPool, Opts,
+    policy_means, summary, Opts,
 };
 use crate::report::{f2, f3, pct, Table};
 use reqblock_cache::fxhash::FxHasher;
 use reqblock_cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
 use reqblock_core::ReqBlockConfig;
 use reqblock_sim::{
-    run_task_pool, ArrivalProcess, CacheSizeMb, FaultConfig, Job, PolicyKind, RunResult,
-    SampleInterval, SimConfig, SubmitMode, Task, TraceSource,
+    run_task_pool, ArrivalProcess, CacheSizeMb, FaultConfig, Job, JobPool, PolicyKind, RunResult,
+    SimConfig, SubmitMode, Task, TraceSource,
 };
 use reqblock_trace::profiles::profile_by_name;
 use reqblock_trace::WorkloadProfile;
@@ -92,17 +95,8 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ScenarioError> {
 pub enum Kind {
     /// Figures 8-12 + summary + perf: the (trace x cache x policy) grid.
     Comparison,
-    /// Response-time percentiles per (trace, policy).
-    Tails,
-    /// GC activity / write amplification per policy.
-    Wear,
-    /// Req-block design-choice variants per (trace, variant).
-    Ablations,
-    /// Seeded fault-rate sweep on a pressured device.
-    Faults,
-    /// Response time vs host queue depth per policy.
-    Qdepth,
-    /// Open-loop latency vs offered throughput per policy.
+    /// Open-loop latency vs offered throughput per policy, plus a bursty
+    /// row per policy.
     Load,
     /// Generic cartesian grid with a declarative column spec.
     Grid,
@@ -113,11 +107,6 @@ impl Kind {
     pub fn from_name(name: &str) -> Option<Kind> {
         Some(match name {
             "comparison" => Kind::Comparison,
-            "tails" => Kind::Tails,
-            "wear" => Kind::Wear,
-            "ablations" => Kind::Ablations,
-            "faults" => Kind::Faults,
-            "qdepth" => Kind::Qdepth,
             "load" => Kind::Load,
             "grid" => Kind::Grid,
             _ => return None,
@@ -128,11 +117,6 @@ impl Kind {
     pub fn name(&self) -> &'static str {
         match self {
             Kind::Comparison => "comparison",
-            Kind::Tails => "tails",
-            Kind::Wear => "wear",
-            Kind::Ablations => "ablations",
-            Kind::Faults => "faults",
-            Kind::Qdepth => "qdepth",
             Kind::Load => "load",
             Kind::Grid => "grid",
         }
@@ -146,31 +130,6 @@ impl Kind {
                 allowed: &["trace", "policy", "cache_mb"],
                 required: &["trace", "policy", "cache_mb"],
                 singleton: &[],
-            },
-            Kind::Tails => KindSpec {
-                allowed: &["trace", "policy", "cache_mb"],
-                required: &["trace", "policy"],
-                singleton: &["cache_mb"],
-            },
-            Kind::Wear => KindSpec {
-                allowed: &["trace", "policy", "cache_mb"],
-                required: &["trace", "policy"],
-                singleton: &["trace", "cache_mb"],
-            },
-            Kind::Ablations => KindSpec {
-                allowed: &["trace", "variant", "cache_mb"],
-                required: &["trace", "variant"],
-                singleton: &["cache_mb"],
-            },
-            Kind::Faults => KindSpec {
-                allowed: &["trace", "policy", "fault_ppm", "geometry"],
-                required: &["trace", "fault_ppm"],
-                singleton: &["trace", "policy", "geometry"],
-            },
-            Kind::Qdepth => KindSpec {
-                allowed: &["trace", "policy", "qdepth", "cache_mb"],
-                required: &["trace", "policy", "qdepth"],
-                singleton: &["trace", "cache_mb"],
             },
             Kind::Load => KindSpec {
                 allowed: &["trace", "policy", "load_mult", "qdepth", "cache_mb"],
@@ -204,10 +163,9 @@ enum AxisType {
 }
 
 /// Every axis the schema knows, with its value type.
-const AXIS_TYPES: [(&str, AxisType); 10] = [
+const AXIS_TYPES: [(&str, AxisType); 9] = [
     ("trace", AxisType::Str),
     ("policy", AxisType::Str),
-    ("variant", AxisType::Str),
     ("cache_mb", AxisType::Int),
     ("delta", AxisType::Int),
     ("qdepth", AxisType::Int),
@@ -225,7 +183,7 @@ fn axis_type(name: &str) -> Option<AxisType> {
 /// integer literals on a float axis are promoted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AxisValues {
-    /// String-valued axis (`trace`, `policy`, `variant`, `geometry`).
+    /// String-valued axis (`trace`, `policy`, `geometry`).
     Strs(Vec<String>),
     /// Integer-valued axis (`cache_mb`, `delta`, `qdepth`, `fault_ppm`).
     Ints(Vec<i64>),
@@ -308,13 +266,16 @@ impl AxisValues {
                 .collect();
             return Ok(AxisValues::Floats(floats));
         }
-        let ints = items
+        let ints: Vec<i64> = items
             .iter()
             .map(|v| match v {
                 toml::Value::Int(i) => *i,
                 _ => unreachable!(),
             })
             .collect();
+        if axis_type(axis) == Some(AxisType::Float) {
+            return Ok(AxisValues::Floats(ints.into_iter().map(|i| i as f64).collect()));
+        }
         Ok(AxisValues::Ints(ints))
     }
 }
@@ -329,6 +290,9 @@ pub struct OutputSpec {
     pub title: Option<String>,
     /// Column spec: axis names and/or metric names (`grid` kind only).
     pub columns: Option<Vec<String>>,
+    /// Display header per `columns` entry, same length (`grid` kind only;
+    /// defaults to the column names).
+    pub headers: Option<Vec<String>>,
     /// Axes hoisted to the outermost nesting positions, in the given
     /// order (`grid` kind only).
     pub group_by: Option<Vec<String>>,
@@ -374,8 +338,9 @@ impl Scenario {
                 ("kind", toml::Value::Str(s)) => {
                     kind = Some(Kind::from_name(s).ok_or_else(|| ScenarioError {
                         msg: format!(
-                            "unknown kind {s:?}; expected one of comparison, tails, wear, \
-                             ablations, faults, qdepth, load, grid"
+                            "unknown kind {s:?}; expected one of comparison, load, grid \
+                             (tables such as tails, wear, ablations, faults and qdepth are \
+                             grid scenarios)"
                         ),
                     })?)
                 }
@@ -424,6 +389,7 @@ impl Scenario {
                 "section" => output.section = Some(as_str(value)?),
                 "title" => output.title = Some(as_str(value)?),
                 "columns" => output.columns = Some(as_str_list(value)?),
+                "headers" => output.headers = Some(as_str_list(value)?),
                 "group_by" => output.group_by = Some(as_str_list(value)?),
                 _ => return err(format!("unknown key output.{key}")),
             }
@@ -469,10 +435,6 @@ impl Scenario {
         let len = |n: &str| self.axis(n).map(|a| a.len()).unwrap_or(1);
         match self.kind {
             Kind::Comparison => len("trace") * len("cache_mb") * len("policy"),
-            Kind::Tails | Kind::Wear => len("trace") * len("policy"),
-            Kind::Ablations => len("trace") * len("variant"),
-            Kind::Faults => len("fault_ppm"),
-            Kind::Qdepth => len("policy") * len("qdepth"),
             // One bursty row per policy rides along with the Poisson steps.
             Kind::Load => len("policy") * (len("load_mult") + 1),
             Kind::Grid => self.axes.iter().map(|(_, v)| v.len()).product(),
@@ -507,9 +469,8 @@ impl Scenario {
                     "axis {axis:?} must hold a single value for kind {kind:?}"
                 ));
             }
-            // Type check (Ints are acceptable on Float axes: from_value
-            // promotes whole arrays; a hand-built Ints axis is promoted
-            // here by rejecting — keep construction honest).
+            // Type check (`from_value` promotes integer literals on float
+            // axes; a hand-built Ints axis on a float axis is rejected).
             let ok = matches!(
                 (ty, values),
                 (AxisType::Str, AxisValues::Strs(_))
@@ -543,16 +504,6 @@ impl Scenario {
                 }
             }
         }
-        if self.kind == Kind::Faults {
-            if let Some(AxisValues::Strs(g)) = self.axis("geometry") {
-                if g[0] != "pressured" {
-                    return err(
-                        "fault scenarios run on the pressured device; geometry must be \
-                         \"pressured\" (or omitted)",
-                    );
-                }
-            }
-        }
         if self.kind == Kind::Grid {
             if self.axis("delta").is_some() {
                 let AxisValues::Strs(policies) = self.axis("policy").unwrap() else {
@@ -565,8 +516,14 @@ impl Scenario {
                     );
                 }
             }
-        } else if self.axis("delta").is_some() {
-            return err(format!("axis \"delta\" is not allowed for kind {kind:?}"));
+            if let Some(AxisValues::Strs(g)) = self.axis("geometry") {
+                if g.iter().any(|g| g == "pressured") && self.axis("cache_mb").is_some() {
+                    return err(format!(
+                        "geometry \"pressured\" fixes the write buffer at \
+                         {PRESSURED_CACHE_PAGES} pages; drop the cache_mb axis"
+                    ));
+                }
+            }
         }
         // Output spec.
         if self.kind == Kind::Comparison && self.output.section.is_some() {
@@ -577,6 +534,7 @@ impl Scenario {
             for (key, set) in [
                 ("title", self.output.title.is_some()),
                 ("columns", self.output.columns.is_some()),
+                ("headers", self.output.headers.is_some()),
                 ("group_by", self.output.group_by.is_some()),
             ] {
                 if set {
@@ -595,6 +553,18 @@ impl Scenario {
                             METRICS.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
                         ));
                     }
+                }
+            }
+            if let Some(headers) = &self.output.headers {
+                let Some(cols) = &self.output.columns else {
+                    return err("output.headers needs output.columns (one header per column)");
+                };
+                if headers.len() != cols.len() {
+                    return err(format!(
+                        "output.headers has {} entries but output.columns has {}",
+                        headers.len(),
+                        cols.len()
+                    ));
                 }
             }
             if let Some(group) = &self.output.group_by {
@@ -629,18 +599,12 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
                 if policy_by_name(p).is_none() {
                     return err(format!(
                         "unknown policy {p:?} (known: LRU, FIFO, LFU, CFLRU, FAB, PUD-LRU, \
-                         BPLRU, VBBMS, Req-block)"
-                    ));
-                }
-            }
-        }
-        ("variant", AxisValues::Strs(v)) => {
-            let known = ablation_variants();
-            for name in v {
-                if !known.iter().any(|(n, _)| n == name) {
-                    return err(format!(
-                        "unknown variant {name:?} (known: {})",
-                        known.iter().map(|(n, _)| format!("{n:?}")).collect::<Vec<_>>().join(", ")
+                         BPLRU, VBBMS, Req-block, or an ablation variant: {})",
+                        ablation_variants()
+                            .iter()
+                            .map(|(n, _)| format!("{n:?}"))
+                            .collect::<Vec<_>>()
+                            .join(", ")
                     ));
                 }
             }
@@ -685,7 +649,8 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
     Ok(())
 }
 
-/// Map a policy display name to its paper-default [`PolicyKind`].
+/// Map a policy display name to its paper-default [`PolicyKind`], or an
+/// [`ablation_variants`] name to its variant.
 pub fn policy_by_name(name: &str) -> Option<PolicyKind> {
     Some(match name {
         "LRU" => PolicyKind::Lru,
@@ -697,7 +662,7 @@ pub fn policy_by_name(name: &str) -> Option<PolicyKind> {
         "BPLRU" => PolicyKind::Bplru(BplruConfig::default()),
         "VBBMS" => PolicyKind::Vbbms(VbbmsConfig::default()),
         "Req-block" => PolicyKind::ReqBlock(ReqBlockConfig::paper()),
-        _ => return None,
+        _ => return ablation_variants().into_iter().find(|(n, _)| *n == name).map(|(_, p)| p),
     })
 }
 
@@ -806,11 +771,6 @@ pub fn plan(sc: &Scenario, opts: &Opts) -> Result<ScenarioPlan, ScenarioError> {
     sc.validate()?;
     let (jobs, build) = match sc.kind {
         Kind::Comparison => compile_comparison(sc, opts),
-        Kind::Tails => compile_tails(sc, opts),
-        Kind::Wear => compile_wear(sc, opts),
-        Kind::Ablations => compile_ablations(sc, opts),
-        Kind::Faults => compile_faults(sc, opts),
-        Kind::Qdepth => compile_qdepth(sc, opts),
         Kind::Load => compile_load(sc, opts),
         Kind::Grid => compile_grid(sc, opts),
     };
@@ -950,115 +910,6 @@ fn compile_comparison(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
     (jobs, build)
 }
 
-/// The tails grid: one `(trace, policy)` job at the singleton cache size.
-fn compile_tails(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let mut jobs = Vec::new();
-    for profile in profiles_of(sc, opts) {
-        for policy in policies_of(sc) {
-            jobs.push(Job {
-                label: format!("{}/{}", profile.name, policy.name()),
-                cfg: SimConfig::paper(cache, policy),
-                source: opts.source_for(&profile),
-            });
-        }
-    }
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, tails_build(results))))
-}
-
-/// The wear grid: one job per policy over the singleton trace.
-fn compile_wear(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let profile = profiles_of(sc, opts).remove(0);
-    let jobs = policies_of(sc)
-        .into_iter()
-        .map(|policy| Job {
-            label: policy.name().to_string(),
-            cfg: SimConfig::paper(cache, policy),
-            source: opts.source_for(&profile),
-        })
-        .collect();
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, wear_build(results))))
-}
-
-/// The ablation grid: every `(trace, variant)` pair, trace-major.
-fn compile_ablations(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let known = ablation_variants();
-    let mut jobs = Vec::new();
-    for profile in profiles_of(sc, opts) {
-        for name in strs(sc, "variant") {
-            let (_, policy) =
-                known.iter().find(|(n, _)| *n == name).expect("validated variant");
-            jobs.push(Job {
-                label: format!("{name}|{}", profile.name),
-                cfg: SimConfig::paper(cache, *policy),
-                source: opts.source_for(&profile),
-            });
-        }
-    }
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, ablations_build(results))))
-}
-
-/// The fault sweep: the singleton trace replayed on a pressured device at
-/// each `fault_ppm` (the same seeded [`FaultConfig`] everywhere, so the
-/// table is reproducible bit for bit).
-fn compile_faults(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let profile = profiles_of(sc, opts).remove(0);
-    let policy = match sc.axis("policy") {
-        Some(AxisValues::Strs(v)) => policy_by_name(&v[0]).expect("validated policy"),
-        _ => PolicyKind::ReqBlock(ReqBlockConfig::paper()),
-    };
-    let ssd = pressured_ssd(&profile);
-    let jobs = ints(sc, "fault_ppm")
-        .into_iter()
-        .map(|ppm| Job {
-            label: ppm.to_string(),
-            cfg: SimConfig {
-                ssd: ssd.clone(),
-                cache_pages: 64,
-                policy,
-                overhead_sample_every: 1_000,
-                sampling: SampleInterval::Off,
-                fault: FaultConfig {
-                    read_fail_ppm: ppm as u32,
-                    program_fail_ppm: ppm as u32,
-                    erase_fail_ppm: ppm as u32,
-                    ..FaultConfig::default()
-                },
-                submit: SubmitMode::Synchronous,
-                attr: None,
-            },
-            source: opts.source_for(&profile),
-        })
-        .collect();
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, fault_build(results))))
-}
-
-/// The queue-depth grid: each policy at each `qdepth`, queued submit mode.
-fn compile_qdepth(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let profile = profiles_of(sc, opts).remove(0);
-    let depths = ints(sc, "qdepth");
-    let mut jobs = Vec::new();
-    for policy in policies_of(sc) {
-        for &depth in &depths {
-            let depth = depth as u32;
-            jobs.push(Job {
-                label: format!("{}/qd{depth}", policy.name()),
-                cfg: SimConfig::paper(cache, policy).with_submit(SubmitMode::Queued { depth }),
-                source: opts.source_for(&profile),
-            });
-        }
-    }
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, qdepth_build(results))))
-}
-
 /// The open-loop load grid: each policy at each `load_mult` multiple of
 /// the calibrated service rate (Poisson), plus the fixed bursty 1x row.
 /// Arrival seeds depend only on the position in the multiplier list, so
@@ -1116,7 +967,7 @@ fn compile_load(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
 type MetricFn = fn(&RunResult) -> String;
 
 /// Metrics a grid scenario's `output.columns` can request.
-pub const METRICS: [(&str, MetricFn); 20] = [
+pub const METRICS: [(&str, MetricFn); 25] = [
     ("requests", |r| r.metrics.requests.to_string()),
     ("hit_ratio", |r| f3(r.metrics.hit_ratio())),
     ("avg_resp_ms", |r| f3(r.metrics.avg_response_ms())),
@@ -1135,7 +986,12 @@ pub const METRICS: [(&str, MetricFn); 20] = [
     ("erases", |r| r.flash.erases.to_string()),
     ("write_amp", |r| f2(r.flash.write_amplification())),
     ("read_retries", |r| r.faults.read_retries.to_string()),
+    ("uncorrectable", |r| r.faults.read_uncorrectable.to_string()),
+    ("program_fails", |r| r.faults.program_failures.to_string()),
+    ("erase_fails", |r| r.faults.erase_failures.to_string()),
     ("bad_blocks", |r| r.faults.retired_blocks.to_string()),
+    ("remapped_pages", |r| r.faults.remapped_pages.to_string()),
+    ("rejected_pages", |r| r.faults.rejected_write_pages.to_string()),
     ("health", |r| format!("{:?}", r.health)),
 ];
 
@@ -1146,7 +1002,8 @@ pub const METRICS: [(&str, MetricFn); 20] = [
 /// * `scale` multiplies the harness `--scale` (relative, default 1),
 /// * `delta` swaps the policy for `Req-block` with that delta,
 /// * `geometry = "pressured"` shrinks the flash array to ~115% of the
-///   workload footprint (the fault-sweep device),
+///   workload footprint and the write buffer to 64 pages (the pressured
+///   golden device, which the fault sweep runs on),
 /// * `qdepth` switches to queued submission at that depth,
 /// * `fault_ppm` seeds read/program/erase faults at that rate,
 /// * `load_mult` re-times arrivals open-loop at that multiple of the
@@ -1215,6 +1072,7 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
         let mut cfg = SimConfig::paper(cache.unwrap_or(CacheSizeMb::Mb32), policy);
         if sval("geometry") == Some("pressured") {
             cfg.ssd = pressured_ssd(&profile);
+            cfg.cache_pages = PRESSURED_CACHE_PAGES;
         }
         if let Some(ppm) = ival("fault_ppm") {
             cfg.fault = FaultConfig {
@@ -1274,10 +1132,11 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
         .title
         .clone()
         .unwrap_or_else(|| format!("Scenario {} - declarative grid", sc.name));
+    let headers = sc.output.headers.clone().unwrap_or_else(|| columns.clone());
     let section = section_name(sc);
     let build: BuildFn = Box::new(move |results| {
-        let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let mut t = Table::new(title, &col_refs);
+        let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+        let mut t = Table::new(title, &header_refs);
         for ((_, r), cells) in results.iter().zip(&point_cells) {
             let row = columns
                 .iter()
@@ -1339,25 +1198,33 @@ mod tests {
             assert!(e.msg.contains(needle), "expected {needle:?} in {e}");
         };
         bad("[scenario]\nname = \"x\"\nkind = \"nope\"\n", "unknown kind");
-        bad("[scenario]\nname = \"x\"\nkind = \"tails\"\n", "empty grid");
+        // Table names are not kinds: those tables are grid files.
+        bad("[scenario]\nname = \"x\"\nkind = \"tails\"\n", "are grid scenarios");
+        bad("[scenario]\nname = \"x\"\nkind = \"grid\"\n", "empty grid");
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\ntrace = \"ts_0\"\npolicy = []\n",
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\npolicy = []\n",
             "empty grid",
         );
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\nbogus = \"y\"\n",
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\nbogus = \"y\"\n",
             "unknown axis",
         );
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\nqdepth = [1]\n",
+            "[scenario]\nname = \"x\"\nkind = \"load\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\nload_mult = 1\nfault_ppm = [1]\n",
             "not allowed for kind",
         );
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\ntrace = \"nope\"\npolicy = \"LRU\"\n",
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"nope\"\npolicy = \"LRU\"\n",
             "unknown trace",
         );
         bad(
             "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\npolicy = \"lru\"\n",
+            "unknown policy",
+        );
+        bad(
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"A9: no such variant\"\n",
             "unknown policy",
         );
         bad(
@@ -1372,15 +1239,68 @@ mod tests {
         );
         bad(
             "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\n[output]\nheaders = [\"Policy\"]\n",
+            "needs output.columns",
+        );
+        bad(
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\n[output]\ncolumns = [\"policy\", \"hit_ratio\"]\n\
+             headers = [\"Policy\"]\n",
+            "has 1 entries but output.columns has 2",
+        );
+        bad(
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\ngeometry = \"pressured\"\ncache_mb = 32\n",
+            "drop the cache_mb axis",
+        );
+        bad(
+            "[scenario]\nname = \"x\"\nkind = \"load\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\nload_mult = 1\n[output]\nheaders = [\"Policy\"]\n",
+            "grid scenarios only",
+        );
+        bad(
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
              policy = \"LRU\"\ndelta = [1, 2]\n",
             "Req-block",
         );
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"wear\"\n[axes]\n\
-             trace = [\"ts_0\", \"proj_0\"]\npolicy = \"LRU\"\n",
+            "[scenario]\nname = \"x\"\nkind = \"load\"\n[axes]\n\
+             trace = [\"ts_0\", \"proj_0\"]\npolicy = \"LRU\"\nload_mult = 1\n",
             "single value",
         );
-        bad("[scenario]\nname = \"x y\"\nkind = \"tails\"\n", "invalid scenario name");
+        bad("[scenario]\nname = \"x y\"\nkind = \"grid\"\n", "invalid scenario name");
+    }
+
+    #[test]
+    fn integer_literals_on_float_axes_are_promoted() {
+        let sc = Scenario::parse(
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\nscale = 1\nload_mult = [1, 2]\n",
+        )
+        .unwrap();
+        assert_eq!(sc.axis("scale"), Some(&AxisValues::Floats(vec![1.0])));
+        assert_eq!(sc.axis("load_mult"), Some(&AxisValues::Floats(vec![1.0, 2.0])));
+        // Integer axes keep their integers.
+        let sc = builtin("qdepth").unwrap();
+        assert_eq!(sc.axis("qdepth"), Some(&AxisValues::Ints(vec![1, 2, 4, 8, 16, 32])));
+    }
+
+    #[test]
+    fn ablation_variants_resolve_as_policies() {
+        for (name, kind) in ablation_variants() {
+            assert_eq!(policy_by_name(name), Some(kind), "{name}");
+        }
+    }
+
+    #[test]
+    fn headers_rename_grid_columns() {
+        let src = "[scenario]\nname = \"h\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+                   policy = \"LRU\"\n[output]\ncolumns = [\"policy\", \"hit_ratio\"]\n\
+                   headers = [\"Policy\", \"Hit ratio\"]\n";
+        let t = run(&Scenario::parse(src).unwrap(), &tiny_opts()).unwrap().into_single_table();
+        assert_eq!(t.columns, ["Policy", "Hit ratio"]);
+        assert_eq!(t.rows.len(), 1);
+        assert_eq!(t.rows[0][0], "LRU");
     }
 
     #[test]

@@ -84,5 +84,5 @@ pub use reqblock_obs::Histogram as LatencyHistogram;
 pub use reqblock_obs::{AttrAcc, AttrConfig, Component, SpanRecord};
 pub use runner::{
     run_jobs, run_source, run_source_recorded, run_task_pool, run_trace, run_trace_drained,
-    run_trace_recorded, Job, RunResult, Task, TraceSource,
+    run_trace_recorded, Job, JobPool, RunResult, Task, TraceSource,
 };

@@ -353,37 +353,67 @@ pub fn run_task_pool(tasks: Vec<Task<'_>>, threads: usize) {
     }
 }
 
-/// Run a grid of jobs on up to `threads` worker threads. Results keep job
-/// order. Each result carries its own host wall-clock duration
-/// ([`RunResult::host_elapsed_s`]), so grid summaries can report per-job
-/// replay throughput.
-///
-/// Each worker writes its result into a dedicated per-job slot — no mutex,
-/// no label cloning on the hot path. If any worker panics, the panic is
-/// propagated with the failing job's label so grid failures are debuggable.
-/// This is a thin wrapper over [`run_task_pool`]; figure builders that want
-/// to share one pool across grids submit the tasks themselves.
-pub fn run_jobs(jobs: &[Job], threads: usize) -> Vec<(String, RunResult)> {
-    let slots: Vec<OnceLock<RunResult>> = (0..jobs.len()).map(|_| OnceLock::new()).collect();
-    let tasks: Vec<Task<'_>> = jobs
-        .iter()
-        .zip(&slots)
-        .map(|(job, slot)| {
-            Task::new(job.label.clone(), move || {
-                let result = run_source(&job.cfg, &job.source);
-                let ok = slot.set(result).is_ok();
-                debug_assert!(ok, "job slot filled twice");
+/// A planned simulation grid: jobs plus one result slot per job. The
+/// single router of [`Job`] results: [`JobPool::tasks`] borrows the pool,
+/// so create it before assembling a task list (possibly mixed with other
+/// work on one [`run_task_pool`]) and call [`JobPool::take_results`] after
+/// the pool has drained. Each worker writes its result into a dedicated
+/// per-job slot, so results keep job order at any thread count.
+#[derive(Debug)]
+pub struct JobPool {
+    jobs: Vec<Job>,
+    slots: Vec<OnceLock<RunResult>>,
+}
+
+impl JobPool {
+    /// Plan `jobs`, one empty result slot each.
+    pub fn new(jobs: Vec<Job>) -> Self {
+        let slots = jobs.iter().map(|_| OnceLock::new()).collect();
+        Self { jobs, slots }
+    }
+
+    /// Number of planned jobs.
+    pub fn job_count(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// One task per job, routing each result into its slot.
+    pub fn tasks(&self) -> Vec<Task<'_>> {
+        self.jobs
+            .iter()
+            .zip(&self.slots)
+            .map(|(job, slot)| {
+                Task::new(job.label.clone(), move || {
+                    let ok = slot.set(run_source(&job.cfg, &job.source)).is_ok();
+                    debug_assert!(ok, "job slot filled twice");
+                })
             })
-        })
-        .collect();
-    run_task_pool(tasks, threads);
-    jobs.iter()
-        .zip(slots)
-        .map(|(job, slot)| {
-            let result = slot.into_inner().expect("every job must produce a result");
-            (job.label.clone(), result)
-        })
-        .collect()
+            .collect()
+    }
+
+    /// Labelled results in job order (call after the pool has drained;
+    /// panics if a job never ran).
+    pub fn take_results(self) -> Vec<(String, RunResult)> {
+        self.jobs
+            .into_iter()
+            .zip(self.slots)
+            .map(|(job, slot)| {
+                let result = slot.into_inner().expect("every job must produce a result");
+                (job.label, result)
+            })
+            .collect()
+    }
+}
+
+/// Run a grid of jobs on up to `threads` worker threads: a [`JobPool`]
+/// drained by [`run_task_pool`]. Results keep job order. Each result
+/// carries its own host wall-clock duration ([`RunResult::host_elapsed_s`]),
+/// so grid summaries can report per-job replay throughput. If any job
+/// panics, the panic is propagated with the failing job's label.
+pub fn run_jobs(jobs: &[Job], threads: usize) -> Vec<(String, RunResult)> {
+    let pool = JobPool::new(jobs.to_vec());
+    run_task_pool(pool.tasks(), threads);
+    pool.take_results()
 }
 
 #[cfg(test)]

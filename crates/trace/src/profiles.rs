@@ -75,7 +75,7 @@ pub struct WorkloadProfile {
 
 impl WorkloadProfile {
     /// Scale the workload by `factor` (used to shrink runs for quick tests
-    /// and criterion benches). Scales the request count **and** the
+    /// and benchmarks). Scales the request count **and** the
     /// footprint regions together, so access-frequency structure (reuse
     /// multiplicity, Table 2's "Frequent R") stays approximately
     /// scale-invariant. Floors keep degenerate scales valid: at least 1 000

@@ -1,16 +1,22 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: release build, every test (including the Perfetto
-# trace-JSON smoke test, tests/trace_smoke.rs, and an explicit release
-# run of tests/fleet.rs — the small-fleet golden plus the streaming
-# merge-equivalence proptests pinning the loser-tree order and the
-# stream-vs-reference FleetMetrics against the materialize+sort
-# pipeline), clippy with warnings denied, and the benchmark gates from
-# scripts/bench.sh — the hot-path median gates (the <2% no-op recorder
-# overhead check and the <2% attribution-compiled-out check), the
-# small-scale sweep gate (`repro all` pool median wall-clock, >5%
-# median regression fails), and the fleet gate (streaming engine median
-# devices/s vs the same-attempt materialized reference and the
-# committed fleet_stream baseline).
+# Full pre-merge gate:
+# - a release build of every workspace package, so the smoke step below
+#   runs a freshly built `repro`;
+# - every test of every workspace crate: the root integration suites plus
+#   the crate unit, doc and property tests (including the Perfetto
+#   trace-JSON smoke test, tests/trace_smoke.rs);
+# - the scenarios/smoke.toml digest against its pinned value;
+# - an explicit release run of tests/fleet.rs (the small-fleet golden plus
+#   the streaming merge-equivalence proptests pinning the loser-tree order
+#   and the stream-vs-reference FleetMetrics against the materialize+sort
+#   pipeline);
+# - clippy and rustdoc with warnings denied;
+# - the benchmark gates from scripts/bench.sh: the hot-path median gates
+#   (the <2% no-op recorder overhead check and the <2% attribution-
+#   compiled-out check), the small-scale sweep gate (`repro all` pool
+#   median wall-clock, >5% median regression fails), and the fleet gate
+#   (streaming engine median devices/s vs the same-attempt materialized
+#   reference and the committed fleet_stream baseline).
 #
 # Usage: scripts/check.sh [--no-bench]
 #
@@ -27,11 +33,11 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-echo "== cargo build --release =="
-cargo build --release
+echo "== cargo build --release --workspace =="
+cargo build --release --workspace
 
-echo "== cargo test =="
-cargo test -q
+echo "== cargo test --workspace =="
+cargo test -q --workspace
 
 echo "== scenario smoke (scenarios/smoke.toml vs pinned digest) =="
 SMOKE_WANT="[digest smoke 8b55b878785a2112]"

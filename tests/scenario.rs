@@ -5,8 +5,8 @@
 //! and the grid planner's job count must equal the axis product.
 
 use proptest::prelude::*;
-use reqblock_experiments::scenario::{self, toml, AxisValues, Scenario};
-use reqblock_experiments::{extensions, figures, sweep, Opts};
+use reqblock_experiments::scenario::{self, toml, Scenario};
+use reqblock_experiments::{sweep, Opts};
 
 fn tiny_opts(threads: usize) -> Opts {
     Opts { scale: 0.001, threads, out_dir: std::env::temp_dir(), trace_dir: None }
@@ -63,39 +63,24 @@ fn smoke_scenario_digest_is_pinned() {
     assert_eq!(digests, vec![("smoke".to_string(), SMOKE_DIGEST)]);
 }
 
-/// The builtin scenario files must carry the same grids as the canonical
-/// constants the rest of the crate (CLI defaults, docs) advertises.
-#[test]
-fn builtin_scenarios_match_canonical_sweep_constants() {
-    let qdepth = scenario::builtin("qdepth").unwrap();
-    let want: Vec<i64> = extensions::QDEPTH_SWEEP.iter().map(|&d| d as i64).collect();
-    assert_eq!(qdepth.axis("qdepth"), Some(&AxisValues::Ints(want)));
-
-    let load = scenario::builtin("load").unwrap();
-    assert_eq!(load.axis("load_mult"), Some(&AxisValues::Floats(extensions::LOAD_SWEEP.to_vec())));
-
-    let faults = scenario::builtin("faults").unwrap();
-    let want: Vec<i64> = extensions::FAULT_SWEEP_PPM.iter().map(|&p| p as i64).collect();
-    assert_eq!(faults.axis("fault_ppm"), Some(&AxisValues::Ints(want)));
-
-    let comparison = scenario::builtin("comparison").unwrap();
-    let want: Vec<String> = figures::COMPARISON_POLICIES.iter().map(|p| p.to_string()).collect();
-    assert_eq!(comparison.axis("policy"), Some(&AxisValues::Strs(want)));
-
-    let ablations = scenario::builtin("ablations").unwrap();
-    let want: Vec<String> =
-        extensions::ablation_variants().iter().map(|(n, _)| n.to_string()).collect();
-    assert_eq!(ablations.axis("variant"), Some(&AxisValues::Strs(want)));
-}
-
 #[test]
 fn scenario_rejections_name_the_problem() {
     let cases = [
         ("[scenario]\nname = \"x\"\nkind = \"nope\"\n[axes]\ntrace = \"ts_0\"\n", "kind"),
         (
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\ntrace = \"ts_0\"\n\
+            "[scenario]\nname = \"x\"\nkind = \"comparison\"\n[axes]\ntrace = \"ts_0\"\n\
              policy = \"LRU\"\nqdepth = 4\n",
             "qdepth",
+        ),
+        (
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\ngeometry = \"pressured\"\ncache_mb = 16\n",
+            "cache_mb",
+        ),
+        (
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\n[output]\ncolumns = [\"policy\"]\nheaders = [\"A\", \"B\"]\n",
+            "headers",
         ),
         (
             "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\npolicy = []\n",
@@ -237,11 +222,10 @@ proptest! {
     /// the offending axis.
     #[test]
     fn unknown_axes_are_rejected(
-        kind in (0usize..8),
+        kind in (0usize..3),
         bad in (0usize..4),
     ) {
-        const KINDS: [&str; 8] =
-            ["comparison", "tails", "wear", "ablations", "faults", "qdepth", "load", "grid"];
+        const KINDS: [&str; 3] = ["comparison", "load", "grid"];
         const BAD: [&str; 4] = ["zdepth", "Policy", "trace2", "cacheMb"];
         let src = format!(
             "[scenario]\nname = \"x\"\nkind = \"{}\"\n[axes]\n{} = 1\n",
