@@ -68,9 +68,8 @@ impl Opts {
     }
 
     /// Shared materialized requests for one workload: the process-wide
-    /// cached slice when the trace cache is on (the default), so probed
-    /// experiments and the sweep's simulation jobs all read the same
-    /// memory; a fresh uncached materialization otherwise.
+    /// cached slice, so probed experiments and the sweep's simulation jobs
+    /// all read the same memory.
     pub fn shared_for(&self, profile: &WorkloadProfile) -> Arc<[Request]> {
         self.source_for(profile).shared_requests()
     }

@@ -1347,4 +1347,45 @@ mod tests {
         let e = sc.set_axis("qdepth", AxisValues::Ints(vec![0])).unwrap_err();
         assert!(e.msg.contains("out of range"), "{e}");
     }
+
+    mod never_panics {
+        use crate::scenario::{toml, Scenario};
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        fn token() -> impl Strategy<Value = &'static str> {
+            prop_oneof![
+                Just(","),
+                Just("["),
+                Just("]"),
+                Just("#"),
+                Just("="),
+                Just("\""),
+                Just("\n"),
+                Just("é"),
+                Just("0"),
+                Just("7"),
+                Just("18446744073709551615"),
+                Just("Read"),
+                Just("Write"),
+                Just("[s]"),
+                Just("x = "),
+            ]
+        }
+
+        proptest! {
+            // The panicking shapes (a malformed value whose error snippet
+            // would end inside a multi-byte char) are rare in token soup,
+            // and a case costs microseconds, so run many.
+            #![proptest_config(ProptestConfig::with_cases(8192))]
+
+            /// Any token soup parses or fails with a line-numbered error.
+            #[test]
+            fn toml_and_scenario_parse_never_panic(tokens in vec(token(), 0..40)) {
+                let src = tokens.concat();
+                let _ = toml::parse(&src);
+                let _ = Scenario::parse(&src);
+            }
+        }
+    }
 }

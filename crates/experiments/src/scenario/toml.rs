@@ -215,7 +215,8 @@ fn parse_value(s: &str, line: usize) -> Result<(Value, &str), ParseError> {
                 .unwrap_or(s.len());
             let (token, rest) = s.split_at(end);
             if token.is_empty() {
-                return Err(err(format!("expected a value, found {:?}", &s[..s.len().min(8)])));
+                let found: String = s.chars().take(8).collect();
+                return Err(err(format!("expected a value, found {found:?}")));
             }
             let value = match token {
                 "true" => Value::Bool(true),
@@ -354,6 +355,13 @@ enabled = true
         assert!(e.msg.contains("nested"), "{e}");
         let e = parse("[a]\nx = \"open\n").unwrap_err();
         assert!(e.msg.contains("unterminated string"), "{e}");
+    }
+
+    #[test]
+    fn error_snippet_truncates_on_char_boundaries() {
+        let e = parse("[s]\nx = ,ééééé\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("\",ééééé\""), "{e}");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::metrics::Metrics;
 use reqblock_flash::{FaultStats, OpCounters};
 use reqblock_ftl::{FtlStats, Health};
 use reqblock_obs::{NoopRecorder, Recorder};
-use reqblock_trace::{Request, SyntheticTrace, WorkloadProfile};
+use reqblock_trace::{Request, WorkloadProfile};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -140,40 +140,24 @@ impl TraceSource {
     /// files — experiment grids should fail loudly, not silently skip runs.
     ///
     /// Replay paths should prefer [`TraceSource::for_each_request`] (which
-    /// iterates the shared cache slice zero-copy when the cache is on) or
+    /// iterates the shared cache slice zero-copy) or
     /// [`TraceSource::shared_requests`] (which shares one materialization
     /// across jobs) over this per-call copy.
     pub fn requests(&self) -> Vec<Request> {
-        let mut out = Vec::new();
-        self.for_each_request(|r| out.push(r));
-        out
+        self.shared_requests().to_vec()
     }
 
     /// The materialized request slice for this source, shared process-wide
     /// via [`reqblock_trace::shared`]: the first caller synthesizes/parses,
     /// every later caller (and every concurrent sweep job) gets the same
-    /// `Arc<[Request]>` zero-copy. When the cache is disabled
-    /// (`REQBLOCK_TRACE_CACHE=0`), a fresh uncached slice is built per call.
-    /// Panics on unreadable/invalid trace files, like
-    /// [`TraceSource::requests`].
+    /// `Arc<[Request]>` zero-copy. Panics on unreadable/invalid trace
+    /// files, like [`TraceSource::requests`].
     pub fn shared_requests(&self) -> std::sync::Arc<[Request]> {
         use reqblock_trace::shared;
         match self {
-            TraceSource::Synthetic(profile) => {
-                if shared::enabled() {
-                    shared::synthetic(profile)
-                } else {
-                    SyntheticTrace::new(profile.clone()).generate_all().into()
-                }
-            }
-            TraceSource::MsrFile(path) => {
-                let loaded = if shared::enabled() {
-                    shared::msr_file(path)
-                } else {
-                    reqblock_trace::msr::parse_file(path).map(std::sync::Arc::from)
-                };
-                loaded.unwrap_or_else(|e| panic!("cannot load trace {}: {e}", path.display()))
-            }
+            TraceSource::Synthetic(profile) => shared::synthetic(profile),
+            TraceSource::MsrFile(path) => shared::msr_file(path)
+                .unwrap_or_else(|e| panic!("cannot load trace {}: {e}", path.display())),
             TraceSource::OpenLoop { base, process, seed } => {
                 // The base slice is shared via the cache as usual; the
                 // arrival rewrite is deterministic in (base, process, seed)
@@ -183,50 +167,13 @@ impl TraceSource {
         }
     }
 
-    /// Stream the requests in order. With the shared trace cache on (the
-    /// default), this iterates the cached `Arc<[Request]>` slice — each
-    /// distinct trace is synthesized/parsed once per process, not once per
-    /// job. With the cache off it streams without materializing: synthetic
-    /// traces generate lazily, MSR files parse line by line (see
-    /// [`reqblock_trace::msr::stream_file`]). Panics on unreadable/invalid
-    /// trace files, like [`TraceSource::requests`].
+    /// Stream the requests in order over the shared slice
+    /// ([`TraceSource::shared_requests`]): each distinct trace is
+    /// synthesized/parsed once per process, not once per job. Panics on
+    /// unreadable/invalid trace files, like [`TraceSource::requests`].
     pub fn for_each_request<F: FnMut(Request)>(&self, mut f: F) {
-        if reqblock_trace::shared::enabled() {
-            for &r in self.shared_requests().iter() {
-                f(r);
-            }
-            return;
-        }
-        self.for_each_request_uncached(f)
-    }
-
-    /// [`TraceSource::for_each_request`] bypassing the shared cache: always
-    /// regenerates/re-reads the trace, never touches cached state. The
-    /// equivalence tests use this as the ground truth the cache must match.
-    pub fn for_each_request_uncached<F: FnMut(Request)>(&self, f: F) {
-        match self {
-            TraceSource::Synthetic(profile) => {
-                let mut f = f;
-                for r in SyntheticTrace::new(profile.clone()) {
-                    f(r);
-                }
-            }
-            TraceSource::MsrFile(path) => {
-                reqblock_trace::msr::stream_file(path, f)
-                    .unwrap_or_else(|e| panic!("cannot load trace {}: {e}", path.display()));
-            }
-            TraceSource::OpenLoop { base, process, seed } => {
-                let mut requests = Vec::new();
-                let mut push = |r: Request| requests.push(r);
-                // `dyn` indirection: calling the generic method recursively
-                // with a fresh closure type would monomorphize without bound
-                // (OpenLoop sources can nest).
-                base.for_each_request_uncached(&mut push as &mut dyn FnMut(Request));
-                let mut f = f;
-                for r in process.rewrite(&requests, *seed) {
-                    f(r);
-                }
-            }
+        for &r in self.shared_requests().iter() {
+            f(r);
         }
     }
 }
@@ -423,6 +370,7 @@ mod tests {
     use reqblock_core::ReqBlockConfig;
     use reqblock_obs::MemoryRecorder;
     use reqblock_trace::profiles::ts_0;
+    use reqblock_trace::SyntheticTrace;
 
     fn mini_profile() -> WorkloadProfile {
         ts_0().scaled(0.002) // ~3.6k requests
@@ -560,24 +508,19 @@ mod tests {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru);
         let base = TraceSource::Synthetic(mini_profile());
         let process = crate::load::ArrivalProcess::Poisson { mean_interarrival_ns: 20_000 };
-        let source = TraceSource::open_loop(base.clone(), process, 11);
+        let source = TraceSource::open_loop(base, process, 11);
         let via_source = run_source(&cfg, &source);
-        let direct = run_trace(&cfg, process.rewrite(&base.shared_requests(), 11));
+        let fresh = SyntheticTrace::new(mini_profile()).generate_all();
+        let direct = run_trace(&cfg, process.rewrite(&fresh, 11));
         assert_eq!(via_source.metrics, direct.metrics);
         assert_eq!(via_source.flash, direct.flash);
-        // The uncached stream path must agree with the cached one.
-        let mut uncached = Vec::new();
-        source.for_each_request_uncached(|r| uncached.push(r));
-        assert_eq!(&uncached[..], &source.shared_requests()[..]);
     }
 
     #[test]
-    fn shared_source_matches_uncached_stream() {
+    fn shared_source_matches_fresh_generation() {
         let source = TraceSource::Synthetic(mini_profile());
         let shared = source.shared_requests();
-        let mut streamed = Vec::new();
-        source.for_each_request_uncached(|r| streamed.push(r));
-        assert_eq!(&shared[..], &streamed[..]);
+        assert_eq!(&shared[..], &SyntheticTrace::new(mini_profile()).generate_all()[..]);
         // A second materialization reuses the cached slice.
         assert!(std::sync::Arc::ptr_eq(&shared, &source.shared_requests()));
     }

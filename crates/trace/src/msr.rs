@@ -76,6 +76,9 @@ fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u64), Pars
         .trim()
         .parse()
         .map_err(|e| err(format!("bad size: {e}")))?;
+    if offset.checked_add(size).is_none() {
+        return Err(err(format!("byte range {offset}+{size} ends past u64::MAX")));
+    }
     Ok((ts, op, offset, size))
 }
 
@@ -85,28 +88,14 @@ fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u64), Pars
 /// * Zero-size requests are dropped (a handful exist in the raw traces).
 /// * Timestamps are rebased so the earliest record is `t = 0` and converted
 ///   from 100 ns ticks to nanoseconds.
+/// * A record whose byte range ends past `u64::MAX`, or whose rebased
+///   timestamp overflows `u64` nanoseconds, is a [`ParseError`] naming its
+///   line — never a panic or a silently wrapped value downstream.
 pub fn parse_reader<R: BufRead>(reader: R) -> Result<Vec<Request>, ParseError> {
     let mut raw: Vec<(u64, OpType, u64, u64)> = Vec::new();
-    scan_records(reader, |rec| raw.push(rec))?;
-    let base = raw.iter().map(|r| r.0).min().unwrap_or(0);
-    Ok(raw
-        .into_iter()
-        .map(|(ts, op, offset, size)| Request {
-            time_ns: ts.saturating_sub(base) * NS_PER_TICK,
-            op,
-            offset,
-            len: size,
-        })
-        .collect())
-}
-
-/// Scan every valid record of an MSR trace, invoking `f` once per record in
-/// file order. Shared by the materializing ([`parse_reader`]) and streaming
-/// ([`stream_file`]) entry points so both apply identical filtering.
-fn scan_records<R: BufRead, F>(reader: R, mut f: F) -> Result<(), ParseError>
-where
-    F: FnMut((u64, OpType, u64, u64)),
-{
+    // The latest timestamp and its line: the only record whose rebased
+    // span can be the first to overflow.
+    let mut latest = (0u64, 0usize);
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
         let line = line.map_err(|e| ParseError {
@@ -121,46 +110,31 @@ where
         if rec.3 == 0 {
             continue;
         }
-        f(rec);
+        if rec.0 >= latest.0 {
+            latest = (rec.0, lineno);
+        }
+        raw.push(rec);
     }
-    Ok(())
-}
-
-/// Stream an MSR-format trace file record by record without materializing a
-/// `Vec<Request>`. Semantics are identical to [`parse_file`] — the same
-/// filtering and the same rebase-to-earliest-timestamp — implemented as two
-/// passes over the file (pass one finds the earliest timestamp, pass two
-/// emits rebased requests), so memory stays O(1) in the trace length.
-///
-/// Returns the number of requests emitted.
-pub fn stream_file<F>(path: &std::path::Path, mut f: F) -> Result<u64, ParseError>
-where
-    F: FnMut(Request),
-{
-    let open = || {
-        std::fs::File::open(path)
-            .map(std::io::BufReader::new)
-            .map_err(|e| ParseError {
-                line: 0,
-                message: format!("cannot open {}: {e}", path.display()),
-            })
-    };
-    let mut base = u64::MAX;
-    scan_records(open()?, |(ts, _, _, _)| base = base.min(ts))?;
-    if base == u64::MAX {
-        return Ok(0);
+    let base = raw.iter().map(|r| r.0).min().unwrap_or(0);
+    let (last_ts, last_line) = latest;
+    if (last_ts - base).checked_mul(NS_PER_TICK).is_none() {
+        return Err(ParseError {
+            line: last_line,
+            message: format!(
+                "timestamp {last_ts} is too far after the earliest record ({base}) \
+                 to fit in u64 nanoseconds"
+            ),
+        });
     }
-    let mut count = 0u64;
-    scan_records(open()?, |(ts, op, offset, size)| {
-        f(Request {
-            time_ns: ts.saturating_sub(base) * NS_PER_TICK,
+    Ok(raw
+        .into_iter()
+        .map(|(ts, op, offset, size)| Request {
+            time_ns: (ts - base) * NS_PER_TICK,
             op,
             offset,
             len: size,
-        });
-        count += 1;
-    })?;
-    Ok(count)
+        })
+        .collect())
 }
 
 /// Parse an MSR-format trace from a string (convenience for tests and small
@@ -275,6 +249,80 @@ mod tests {
         let shown = err.to_string();
         assert!(shown.contains("line 1"), "{shown}");
     }
+
+    #[test]
+    fn rejects_timestamp_span_that_overflows_nanoseconds() {
+        let s = "0,h,0,Write,0,4096,0\n18446744073709551615,h,0,Write,0,4096,0\n";
+        let err = parse_str(s).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("18446744073709551615"), "{err}");
+    }
+
+    #[test]
+    fn rejects_byte_range_past_u64_max() {
+        let err = parse_str("0,h,0,Write,18446744073709551615,4096,0\n").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("byte range"), "{err}");
+    }
+
+    mod never_panics {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        fn token() -> impl Strategy<Value = &'static str> {
+            prop_oneof![
+                Just(","),
+                Just("["),
+                Just("]"),
+                Just("#"),
+                Just("="),
+                Just("\""),
+                Just("\n"),
+                Just("é"),
+                Just("0"),
+                Just("7"),
+                Just("18446744073709551615"),
+                Just("Read"),
+                Just("Write"),
+                Just("[s]"),
+                Just("x = "),
+            ]
+        }
+
+        /// Numeric field values, including the ones whose arithmetic
+        /// overflows (a span or byte range past `u64::MAX`).
+        fn number() -> impl Strategy<Value = &'static str> {
+            prop_oneof![Just("0"), Just("4096"), Just("18446744073709551615")]
+        }
+
+        /// A line is either record-shaped (so the numeric edge cases reach
+        /// the rebase and byte-range arithmetic) or free token soup.
+        fn line() -> impl Strategy<Value = String> {
+            prop_oneof![
+                (number(), token(), prop_oneof![Just("Read"), Just("Write")], number(), number())
+                    .prop_map(|(ts, host, op, offset, size)| {
+                        format!("{ts},{host},0,{op},{offset},{size},0")
+                    }),
+                vec(token(), 0..8).prop_map(|t| t.concat()),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// Any input parses or fails with a `ParseError`, and every
+            /// parsed request's page range is computable.
+            #[test]
+            fn parse_str_never_panics(lines in vec(line(), 0..6)) {
+                if let Ok(reqs) = parse_str(&lines.join("\n")) {
+                    for r in &reqs {
+                        prop_assert!(r.page_count() > 0);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -316,33 +364,6 @@ mod writer_tests {
         assert!(csv.contains(&format!("Write,{},{}", 5 * PAGE_SIZE, 2 * PAGE_SIZE)));
         assert!(csv.contains("Read,0,4096"));
         assert_eq!(csv.lines().count(), 2);
-    }
-
-    #[test]
-    fn stream_file_matches_parse_file() {
-        let path = std::env::temp_dir().join("reqblock_msr_stream_test.csv");
-        let reqs: Vec<Request> = SyntheticTrace::new(profiles::ts_0().scaled(0.001))
-            .map(|mut r| {
-                r.time_ns = (r.time_ns / NS_PER_TICK) * NS_PER_TICK;
-                r
-            })
-            .collect();
-        write_file(&path, &reqs).unwrap();
-        let materialized = parse_file(&path).unwrap();
-        let mut streamed = Vec::new();
-        let count = stream_file(&path, |r| streamed.push(r)).unwrap();
-        assert_eq!(count as usize, materialized.len());
-        assert_eq!(streamed, materialized);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn stream_file_empty_trace_emits_nothing() {
-        let path = std::env::temp_dir().join("reqblock_msr_stream_empty_test.csv");
-        std::fs::write(&path, "# only a comment\n\n").unwrap();
-        let count = stream_file(&path, |_| panic!("no records expected")).unwrap();
-        assert_eq!(count, 0);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

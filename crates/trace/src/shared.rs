@@ -26,14 +26,13 @@
 //! one thread generates) while requests for different traces proceed in
 //! parallel.
 //!
-//! # Opting out
+//! # Lifetime
 //!
-//! The cache holds every materialized trace until [`clear`] is called, which
+//! The cache is unconditional: every replay path reads its trace from here.
+//! It holds every materialized trace until [`clear`] is called, which
 //! trades memory for sweep throughput (a full-scale six-trace sweep is
-//! ~1.1 GB of requests). Set the environment variable
-//! `REQBLOCK_TRACE_CACHE=0` — or call [`set_enabled`]`(false)` — to fall
-//! back to per-job streaming; results are identical either way, as the
-//! equivalence tests in `tests/sweep.rs` pin.
+//! ~1.1 GB of requests); [`clear`] releases the cache's references, and a
+//! slice is freed once the last job holding it finishes.
 
 use crate::msr::{self, ParseError};
 use crate::profiles::WorkloadProfile;
@@ -41,7 +40,6 @@ use crate::request::Request;
 use crate::synth::SyntheticTrace;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Identity of a materialized trace.
@@ -93,27 +91,6 @@ fn cache() -> &'static Mutex<HashMap<TraceKey, Slot>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn flag() -> &'static AtomicBool {
-    static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-    ENABLED.get_or_init(|| {
-        let on = std::env::var("REQBLOCK_TRACE_CACHE").map_or(true, |v| v != "0");
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether the shared cache is active (default `true`; the
-/// `REQBLOCK_TRACE_CACHE=0` environment variable disables it at startup).
-pub fn enabled() -> bool {
-    flag().load(Ordering::Relaxed)
-}
-
-/// Turn the cache on or off at runtime. Used by the sweep benchmark to
-/// measure the uncached architecture; disabling does not drop already
-/// cached traces (call [`clear`] for that).
-pub fn set_enabled(on: bool) {
-    flag().store(on, Ordering::Relaxed);
-}
-
 /// Drop every cached trace. Slices still held by running jobs stay alive
 /// (they are `Arc`s); only the cache's own references are released.
 pub fn clear() {
@@ -153,63 +130,35 @@ pub fn synthetic(profile: &WorkloadProfile) -> Arc<[Request]> {
     })
 }
 
-/// A streaming view of a synthetic workload, keyed by the same
-/// [`fingerprint`] as [`synthetic`].
-///
-/// When the cache is [`enabled`] the stream walks the shared materialized
-/// slice (one copy per distinct profile process-wide, zero-copy per
-/// reader); when it is disabled the stream drives a live generator and
-/// nothing is ever materialized. The yielded request sequence is identical
-/// either way — [`SyntheticTrace`] is deterministic in its profile — so
-/// callers choose a memory/CPU trade-off, never a result.
-pub enum SyntheticStream {
-    /// Cursor over the shared cached slice.
-    Cached {
-        /// The process-wide materialized trace.
-        data: Arc<[Request]>,
-        /// Next index to yield.
-        pos: usize,
-    },
-    /// A live generator; requests are produced on demand and dropped.
-    Live(Box<SyntheticTrace>),
+/// A cursor over the shared slice of a synthetic workload, keyed by the
+/// same [`fingerprint`] as [`synthetic`]: one copy per distinct profile
+/// process-wide, zero-copy per reader.
+pub struct SyntheticStream {
+    /// The process-wide materialized trace.
+    data: Arc<[Request]>,
+    /// Next index to yield.
+    pos: usize,
 }
 
 impl Iterator for SyntheticStream {
     type Item = Request;
 
     fn next(&mut self) -> Option<Request> {
-        match self {
-            SyntheticStream::Cached { data, pos } => {
-                let r = data.get(*pos).copied()?;
-                *pos += 1;
-                Some(r)
-            }
-            SyntheticStream::Live(generator) => generator.next(),
-        }
+        let r = self.data.get(self.pos).copied()?;
+        self.pos += 1;
+        Some(r)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SyntheticStream::Cached { data, pos } => {
-                let left = data.len().saturating_sub(*pos);
-                (left, Some(left))
-            }
-            SyntheticStream::Live(generator) => generator.size_hint(),
-        }
+        let left = self.data.len().saturating_sub(self.pos);
+        (left, Some(left))
     }
 }
 
-/// A [`SyntheticStream`] over `profile`: cached when the shared cache is
-/// [`enabled`] (materializing the slice on first use, exactly like
-/// [`synthetic`]), live otherwise. Clones the profile only on the live
-/// path — the cached path borrows it for the fingerprint and shares the
-/// slice.
+/// A [`SyntheticStream`] over `profile`, materializing the shared slice on
+/// first use exactly like [`synthetic`].
 pub fn synthetic_stream(profile: &WorkloadProfile) -> SyntheticStream {
-    if enabled() {
-        SyntheticStream::Cached { data: synthetic(profile), pos: 0 }
-    } else {
-        SyntheticStream::Live(Box::new(SyntheticTrace::new(profile.clone())))
-    }
+    SyntheticStream { data: synthetic(profile), pos: 0 }
 }
 
 /// The shared slice for an MSR CSV file, parsing it on first use.
@@ -270,17 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_slice_on_both_paths() {
+    fn stream_walks_the_shared_slice() {
         let p = ts_0().scaled(0.0006);
-        let slice = synthetic(&p);
-        let cached: Vec<Request> =
-            SyntheticStream::Cached { data: slice.clone(), pos: 0 }.collect();
-        let live: Vec<Request> =
-            SyntheticStream::Live(Box::new(SyntheticTrace::new(p.clone()))).collect();
-        assert_eq!(&cached[..], &slice[..]);
-        assert_eq!(cached, live, "cache on/off must not change the sequence");
-        let via_api: Vec<Request> = synthetic_stream(&p).collect();
-        assert_eq!(via_api, cached);
+        let streamed: Vec<Request> = synthetic_stream(&p).collect();
+        assert_eq!(&streamed[..], &synthetic(&p)[..]);
     }
 
     #[test]

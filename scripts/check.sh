@@ -2,6 +2,9 @@
 # Full pre-merge gate:
 # - a release build of every workspace package, so the smoke step below
 #   runs a freshly built `repro`;
+# - a `cargo check` of the perfbench benchmark crate against a frozen
+#   lockfile, so a library change that stops the benchmark compiling
+#   fails here rather than in the benchmark run;
 # - every test of every workspace crate: the root integration suites plus
 #   the crate unit, doc and property tests (including the Perfetto
 #   trace-JSON smoke test, tests/trace_smoke.rs);
@@ -35,6 +38,9 @@ done
 
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
+
+echo "== cargo check perfbench (the repo benchmark, lockfile frozen) =="
+CARGO_TARGET_DIR=.bench_build cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test --workspace =="
 cargo test -q --workspace

@@ -5,7 +5,6 @@
 use reqblock::sim::{
     run_trace_recorded, CacheSizeMb, PolicyKind, RunResult, SimConfig, TraceSource,
 };
-use reqblock::trace::shared;
 use reqblock_experiments::sweep::run_all;
 use reqblock_experiments::Opts;
 use std::path::PathBuf;
@@ -26,22 +25,21 @@ fn run_cached(cfg: &SimConfig, source: &TraceSource) -> RunResult {
     run_trace_recorded(cfg, requests.iter().copied(), &mut reqblock::obs::NoopRecorder)
 }
 
-/// Run the same job by regenerating the trace from scratch, bypassing the
-/// process-wide cache entirely.
-fn run_uncached(cfg: &SimConfig, source: &TraceSource) -> RunResult {
-    let mut requests = Vec::new();
-    source.for_each_request_uncached(|r| requests.push(r));
+/// Run the same job over a trace regenerated independently of the
+/// process-wide cache.
+fn run_uncached(cfg: &SimConfig, requests: Vec<reqblock::trace::Request>) -> RunResult {
     run_trace_recorded(cfg, requests, &mut reqblock::obs::NoopRecorder)
 }
 
 #[test]
 fn cached_replay_matches_uncached_regeneration_synthetic() {
     let profile = reqblock::trace::profiles::src1_2().scaled(0.002);
-    let source = TraceSource::Synthetic(profile);
+    let source = TraceSource::Synthetic(profile.clone());
     for policy in [PolicyKind::Lru, PolicyKind::ReqBlock(Default::default())] {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
         let cached = run_cached(&cfg, &source);
-        let fresh = run_uncached(&cfg, &source);
+        let regenerated = reqblock::trace::SyntheticTrace::new(profile.clone()).generate_all();
+        let fresh = run_uncached(&cfg, regenerated);
         assert_eq!(simulated(&cached), simulated(&fresh));
     }
 }
@@ -56,10 +54,10 @@ fn cached_replay_matches_uncached_regeneration_msr_file() {
         reqblock::trace::SyntheticTrace::new(profile).generate_all();
     reqblock::trace::msr::write_file(&path, &reqs).unwrap();
 
-    let source = TraceSource::MsrFile(path);
+    let source = TraceSource::MsrFile(path.clone());
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(Default::default()));
     let cached = run_cached(&cfg, &source);
-    let fresh = run_uncached(&cfg, &source);
+    let fresh = run_uncached(&cfg, reqblock::trace::msr::parse_file(&path).unwrap());
     assert_eq!(simulated(&cached), simulated(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -71,7 +69,7 @@ fn shared_slice_is_reused_not_regenerated() {
     let a = source.shared_requests();
     let b = source.shared_requests();
     assert!(
-        std::sync::Arc::ptr_eq(&a, &b) || !shared::enabled(),
+        std::sync::Arc::ptr_eq(&a, &b),
         "two lookups of the same (source, scale) must share one allocation"
     );
 }
