@@ -19,6 +19,12 @@
 //! no-op path of the same run. The JSON reports all four plus the recording
 //! overhead percentage.
 //!
+//! GC never runs on the 128 GB device, so one more row (`gc_policies`)
+//! replays `proj_0` at the same `--scale` through Req-block 16 MB on the
+//! pressured two-chip device of the experiments crate, where the FTL's
+//! garbage collection does most of the work. It is reported for
+//! information only; no gate reads it.
+//!
 //! ```text
 //! cargo run --release -p reqblock-bench --bin hotpath -- \
 //!     [--scale 0.25] [--repeats 3] [--out hotpath.json]
@@ -28,6 +34,7 @@
 //! and diffs the numbers against the committed `BENCH_hotpath.json`.
 
 use reqblock_core::ReqBlockConfig;
+use reqblock_experiments::extensions::pressured_ssd;
 use reqblock_obs::MemoryRecorder;
 use reqblock_sim::{
     run_source, run_source_recorded, AttrConfig, CacheSizeMb, PolicyKind, SampleInterval,
@@ -62,6 +69,20 @@ fn policy_name(policy: PolicyKind) -> &'static str {
     match policy {
         PolicyKind::ReqBlock(_) => "Req-block",
         _ => "LRU",
+    }
+}
+
+/// Best-of and median-of `times` for `requests` replayed requests.
+fn policy_result(policy: PolicyKind, requests: u64, times: &[f64], hit_ratio: f64) -> PolicyResult {
+    let best = times.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+    let med = median(times);
+    PolicyResult {
+        name: policy_name(policy),
+        requests_per_sec: requests as f64 / best,
+        best_elapsed_ms: best * 1e3,
+        median_requests_per_sec: requests as f64 / med,
+        median_elapsed_ms: med * 1e3,
+        hit_ratio,
     }
 }
 
@@ -142,24 +163,34 @@ fn measure(
             "attr-noop replay must be deterministic across repeats"
         );
     }
-    let result = |times: &[f64]| {
-        let best = times.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-        let med = median(times);
-        PolicyResult {
-            name: policy_name(policy),
-            requests_per_sec: requests as f64 / best,
-            best_elapsed_ms: best * 1e3,
-            median_requests_per_sec: requests as f64 / med,
-            median_elapsed_ms: med * 1e3,
-            hit_ratio: warm.metrics.hit_ratio(),
-        }
-    };
+    let result = |times: &[f64]| policy_result(policy, requests, times, warm.metrics.hit_ratio());
     (
         result(&noop_times),
         result(&recording_times),
         result(&queued_times),
         result(&attr_times),
     )
+}
+
+/// Median-of-`repeats` Req-block 16 MB replay of `proj_0 x scale` on the
+/// pressured device (after one warm-up replay), asserting every repeat
+/// reproduces the warm-up's metrics.
+fn measure_gc(scale: f64, repeats: u32) -> PolicyResult {
+    let profile = reqblock_trace::profiles::proj_0().scaled(scale);
+    let requests = profile.requests;
+    let policy = PolicyKind::ReqBlock(ReqBlockConfig::paper());
+    let mut cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
+    cfg.ssd = pressured_ssd(&profile);
+    let source = TraceSource::Synthetic(profile);
+    let warm = run_source(&cfg, &source);
+    let mut times = Vec::with_capacity(repeats as usize);
+    for _ in 0..repeats {
+        let t0 = Instant::now();
+        let res = run_source(&cfg, &source);
+        times.push(t0.elapsed().as_secs_f64());
+        assert_eq!(res.metrics, warm.metrics, "GC replay must be deterministic across repeats");
+    }
+    policy_result(policy, requests, &times, warm.metrics.hit_ratio())
 }
 
 fn push_policy_array(json: &mut String, key: &str, results: &[PolicyResult], last: bool) {
@@ -216,11 +247,19 @@ fn main() {
         queued.push(q);
         attr_noop.push(a);
     }
+    eprintln!("hotpath: proj_0 x{scale} on the pressured device (GC), {repeats} repeats");
+    let gc = [measure_gc(scale, repeats)];
 
     for r in &noop {
         eprintln!(
             "hotpath: {:<9} noop      {:>12.0} req/s  (best {:.1} ms, median {:.1} ms, hit ratio {:.4})",
             r.name, r.requests_per_sec, r.best_elapsed_ms, r.median_elapsed_ms, r.hit_ratio
+        );
+    }
+    for r in &gc {
+        eprintln!(
+            "hotpath: {:<9} gc        {:>12.0} req/s  (median {:.1} ms, best {:.1} ms)",
+            r.name, r.median_requests_per_sec, r.median_elapsed_ms, r.best_elapsed_ms
         );
     }
     for (n, r) in noop.iter().zip(&recording) {
@@ -256,6 +295,7 @@ fn main() {
     push_policy_array(&mut json, "recording_policies", &recording, false);
     push_policy_array(&mut json, "queued_policies", &queued, false);
     push_policy_array(&mut json, "attr_noop_policies", &attr_noop, false);
+    push_policy_array(&mut json, "gc_policies", &gc, false);
     json.push_str("  \"recording_overhead_pct\": [\n");
     for (i, (n, r)) in noop.iter().zip(&recording).enumerate() {
         let pct = (r.best_elapsed_ms - n.best_elapsed_ms) / n.best_elapsed_ms * 100.0;

@@ -55,7 +55,7 @@ pub const PRESSURED_CACHE_PAGES: usize = 64;
 /// is what lets the fault sweep exercise erase faults and block
 /// retirement alongside program faults. Paired with
 /// [`PRESSURED_CACHE_PAGES`] by the scenario `geometry = "pressured"`.
-pub(crate) fn pressured_ssd(profile: &WorkloadProfile) -> reqblock_flash::SsdConfig {
+pub fn pressured_ssd(profile: &WorkloadProfile) -> reqblock_flash::SsdConfig {
     let mut ssd = reqblock_flash::SsdConfig::paper();
     ssd.channels = 2;
     ssd.chips_per_channel = 1;

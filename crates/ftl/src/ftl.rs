@@ -145,6 +145,25 @@ struct ChipDomain {
     picker: GreedyPicker,
 }
 
+impl ChipDomain {
+    /// `block`'s invalid count when it is a GC candidate: full, with at
+    /// least one invalid page. The picker holds exactly these blocks,
+    /// except one taken out while its pages migrate.
+    #[inline]
+    fn candidate_count(&self, block: u32) -> Option<u32> {
+        let meta = self.blocks.meta(block);
+        (meta.state == BlockState::Full && meta.invalid_count() > 0).then(|| meta.invalid_count())
+    }
+
+    /// Put `block` back in the picker if it is a candidate: its migration
+    /// aborted and it stays full.
+    fn restore_candidate(&mut self, block: u32) {
+        if let Some(inv) = self.candidate_count(block) {
+            self.picker.insert(block, inv);
+        }
+    }
+}
+
 /// Page-level FTL over a multi-chip flash array.
 ///
 /// Translation tables are dense `Vec<u32>` (LPN -> PPN and PPN -> LPN),
@@ -231,7 +250,7 @@ impl Ftl {
             chips: (0..cfg.total_chips())
                 .map(|_| ChipDomain {
                     blocks: ChipBlocks::new(cfg),
-                    picker: GreedyPicker::with_capacity(cfg.blocks_per_chip()),
+                    picker: GreedyPicker::new(cfg),
                 })
                 .collect(),
             cursor: 0,
@@ -402,19 +421,27 @@ impl Ftl {
         }
     }
 
-    /// Invalidate the physical page `ppn` (which must be valid) and clear
-    /// its reverse mapping. Leaves `l2p` untouched — callers own the
-    /// forward mapping.
+    /// Invalidate the physical page `ppn` (which must be valid). Leaves
+    /// `l2p` untouched — callers own the forward mapping.
     fn invalidate_ppn(&mut self, ppn: u32) {
         let chip = self.chip_of_ppn(ppn);
         let (block, page) = self.block_page_of_ppn(ppn);
+        self.invalidate_page(chip, block, page);
+        // The stale p2l entry is left in place; the valid bitmap already
+        // records the page as dead, and p2l is only read for valid pages.
+    }
+
+    /// Invalidate `page` of `block` on `chip`, moving a full block up one
+    /// count in the GC picker. Blocks taken out of the picker for migration
+    /// (a GC victim, a block being retired) bypass this and invalidate
+    /// through [`ChipBlocks::invalidate`] directly.
+    #[inline]
+    fn invalidate_page(&mut self, chip: usize, block: u32, page: u16) {
         let domain = &mut self.chips[chip];
         let (inv, state) = domain.blocks.invalidate_with_state(block, page);
         if state == BlockState::Full {
             domain.picker.note(block, inv);
         }
-        // The stale p2l entry is left in place; the valid bitmap already
-        // records the page as dead, and p2l is only read for valid pages.
     }
 
     /// Invalidate the physical page currently backing `lpn`, if any.
@@ -433,10 +460,9 @@ impl Ftl {
         let domain = &mut self.chips[chip];
         let (block, page) = domain.blocks.allocate_page()?;
         // If the allocation sealed the block and earlier pages of it were
-        // already invalidated, make sure the picker knows about it.
-        let meta = domain.blocks.meta(block);
-        if meta.state == BlockState::Full && meta.invalid_count() > 0 {
-            domain.picker.note(block, meta.invalid_count());
+        // already invalidated, it becomes a GC candidate.
+        if let Some(inv) = domain.candidate_count(block) {
+            domain.picker.insert(block, inv);
         }
         Some((block, page))
     }
@@ -488,7 +514,7 @@ impl Ftl {
     fn gc_once(&mut self, chip: usize, at: u64, tl: &mut FlashTimeline) -> bool {
         let victim = {
             let domain = &mut self.chips[chip];
-            match domain.picker.pick(&domain.blocks) {
+            match domain.picker.pick() {
                 Some(b) => b,
                 None => return false,
             }
@@ -510,6 +536,7 @@ impl Ftl {
                 if self.faults.is_inert() {
                     panic!("flash chip out of space: live data exceeds physical capacity");
                 }
+                self.chips[chip].restore_candidate(victim);
                 self.degrade("no space left to migrate a GC victim");
                 return false;
             };
@@ -553,8 +580,13 @@ impl Ftl {
     /// unmigrated pages stay where they are (still readable) and the
     /// device degrades instead of losing data.
     fn retire_block(&mut self, chip: usize, block: u32, at: u64, tl: &mut FlashTimeline) {
+        // Out of the GC picker while its pages move, so GC cannot pick it.
+        let domain = &mut self.chips[chip];
+        if let Some(inv) = domain.candidate_count(block) {
+            domain.picker.remove(block, inv);
+        }
         // Stop allocating from the failing block before rewriting onto it.
-        self.chips[chip].blocks.close_active(block);
+        domain.blocks.close_active(block);
         let valid_bitmap = self.chips[chip].blocks.meta(block).valid;
         for page in 0..self.cfg.pages_per_block as u16 {
             if valid_bitmap & (1u64 << page) == 0 {
@@ -564,6 +596,7 @@ impl Ftl {
             let lpn = self.p2l.get(src_ppn as usize);
             debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
             let Some((nb, np)) = self.try_allocate_raw(chip) else {
+                self.chips[chip].restore_candidate(block);
                 self.degrade("no space left to migrate off a failing block");
                 return;
             };
@@ -644,7 +677,7 @@ impl Ftl {
             // retire the block — migrating its valid pages, possibly
             // including the old copy of this very LPN — and try elsewhere.
             self.fstats.program_failures += 1;
-            self.chips[chip].blocks.invalidate(block, page);
+            self.invalidate_page(chip, block, page);
             self.retire_block(chip, block, at, tl);
             self.maybe_gc(chip, at, tl);
         }
@@ -877,8 +910,9 @@ impl Ftl {
     }
 
     /// Debug-grade consistency check: every l2p entry has a matching p2l
-    /// entry and a valid bit set; live counts agree. O(total pages) — tests
-    /// only.
+    /// entry and a valid bit set; live counts agree; each chip's GC picker
+    /// holds exactly its full blocks with an invalid page, at their invalid
+    /// counts. O(total pages) — tests only.
     #[doc(hidden)]
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut mapped = 0u64;
@@ -903,11 +937,21 @@ impl Ftl {
             return Err(format!("mapped {mapped} != live {live}"));
         }
         for (c, domain) in self.chips.iter().enumerate() {
+            let mut eligible = Vec::new();
             for b in 0..domain.blocks.block_count() as u32 {
                 let meta = domain.blocks.meta(b);
                 if meta.state == BlockState::Bad && meta.valid != 0 {
                     return Err(format!("bad block {b} on chip {c} still holds live pages"));
                 }
+                if let Some(inv) = domain.candidate_count(b) {
+                    eligible.push((b, inv));
+                }
+            }
+            let held = domain.picker.audit().map_err(|e| format!("GC picker on chip {c}: {e}"))?;
+            if held != eligible {
+                return Err(format!(
+                    "GC picker on chip {c} holds {held:?}, eligible (block, invalid) are {eligible:?}"
+                ));
             }
         }
         Ok(())

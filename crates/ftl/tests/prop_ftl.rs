@@ -1,9 +1,9 @@
 //! Property-based tests of the FTL: arbitrary write/read sequences on the
-//! tiny SSD must keep the mapping tables consistent, conserve live data
-//! through GC, and respect the free-block floor.
+//! tiny SSD must keep the mapping tables and the GC picker consistent,
+//! conserve live data through GC, and respect the free-block floor.
 
 use proptest::prelude::*;
-use reqblock_flash::{FlashTimeline, SsdConfig};
+use reqblock_flash::{DegradedMode, FaultConfig, FlashTimeline, SsdConfig};
 use reqblock_ftl::{Ftl, Placement};
 
 /// (placement, start lpn, batch pages) over a small logical window so
@@ -69,5 +69,36 @@ proptest! {
         prop_assert_eq!(ftl.live_pages(), live_before);
         prop_assert_eq!(tl.counters().total_programs(), programs_before);
         ftl.check_consistency().map_err(TestCaseError::fail)?;
+    }
+
+    /// Program and erase failures drive every path that changes a full
+    /// block's GC eligibility outside plain overwrites: blocks sealed with
+    /// invalid pages, the erase-failure retirement of a GC victim,
+    /// `retire_block` after a program failure, and the migrations that
+    /// abort when retirements have eaten the spare space (the device then
+    /// turns read-only). The mapping and the GC picker must stay exact
+    /// after every batch.
+    #[test]
+    fn faulty_churn_keeps_mapping_and_picker_consistent(
+        ops in ops(),
+        seed in any::<u64>(),
+        program_ppm in 1u32..60_000,
+        erase_ppm in 1u32..300_000,
+    ) {
+        let cfg = SsdConfig::tiny();
+        let faults = FaultConfig {
+            on_exhaustion: DegradedMode::ReadOnly,
+            ..FaultConfig::with_rates(seed, 0, program_ppm, erase_ppm)
+        };
+        let mut ftl = Ftl::with_faults(&cfg, faults);
+        let mut tl = FlashTimeline::new(&cfg);
+        let mut at = 0u64;
+        for (striped, start, pages) in ops {
+            at += 1_000_000;
+            let lpns: Vec<u64> = (start..start + pages).collect();
+            let placement = if striped { Placement::Striped } else { Placement::SingleBlock };
+            ftl.write_pages(&lpns, at, placement, &mut tl);
+            ftl.check_consistency().map_err(TestCaseError::fail)?;
+        }
     }
 }

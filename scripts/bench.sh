@@ -27,6 +27,12 @@
 #           queued gate, the within-attempt ratio is gated and the best
 #           attempt wins, so no committed baseline is needed.
 #
+# GC replay (no gate): hotpath also replays proj_0 through Req-block 16 MB
+#   on the pressured two-chip device, where FTL garbage collection does most
+#   of the work (the ts_0 rows run on the 128 GB device, where GC never
+#   runs). Its best median req/s is printed for information only; there is
+#   no committed baseline for it.
+#
 # Sweep gate (tolerance 5%): the `repro all` pool, cached + parallel, must
 #   not get slower than the committed median wall-clock. Like the 2% gate,
 #   5% sits below a shared machine's noise floor, so the sweep runs
@@ -144,6 +150,7 @@ queued_ratio = {}
 attr = {}
 attr_ratio = {}
 overhead = {}
+gc = {}
 for path in sys.argv[1:]:
     with open(path) as f:
         run = json.load(f)
@@ -166,6 +173,8 @@ for path in sys.argv[1:]:
         if p["name"] in sync_this:
             ratio = med / sync_this[p["name"]]
             attr_ratio[p["name"]] = max(attr_ratio.get(p["name"], 0.0), ratio)
+    for p in run.get("gc_policies", []):
+        gc.setdefault(p["name"], []).append(p["median_requests_per_sec"])
     for o in run.get("recording_overhead_pct", []):
         overhead.setdefault(o["name"], []).append(o["pct"])
 
@@ -235,6 +244,10 @@ for name, base in sorted(queued_base.items()):
         verdict = "ok"
     print(f"{name}: queued qd8 median {now:,.0f} req/s, best queued/sync "
           f"{ratio:.2f}x {verdict} (committed engine baseline {base:,.0f})")
+print("-- GC replay (proj_0 on the pressured device; information only, no gate) --")
+for name, meds in sorted(gc.items()):
+    print(f"{name}: GC replay best median {max(meds):,.0f} req/s "
+          f"(per attempt {', '.join(f'{m:,.0f}' for m in meds)})")
 print("-- attribution gate (tail forensics, attr-noop vs same-run noop) --")
 for name in sorted(current):
     now = attr.get(name)
