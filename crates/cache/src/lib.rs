@@ -3,17 +3,12 @@
 //! Inside the simulated SSD, the DRAM data cache is a **write buffer**: only
 //! the data of write requests is inserted (paper §3.4), reads are served
 //! from the buffer when they hit and from flash otherwise. This crate
-//! defines the policy interface and implements every scheme the paper
-//! compares against or cites:
+//! defines the policy interface and implements the three baselines the
+//! paper compares against (Figures 8-12):
 //!
 //! | policy | granularity | eviction | paper role |
 //! |--------|-------------|----------|-----------|
 //! | [`policies::lru::LruCache`] | page | LRU page | baseline (§4.1) |
-//! | [`policies::fifo::FifoCache`] | page | FIFO page | related work (§2.1) |
-//! | [`policies::lfu::LfuCache`] | page | least-frequently-used | related work (§2.1) |
-//! | [`policies::cflru::CflruCache`] | page | clean-first LRU \[9\] | related work (§2.1) |
-//! | [`policies::fab::FabCache`] | flash block | largest group \[19\] | related work (§2.1) |
-//! | [`policies::pudlru::PudLruCache`] | flash block | largest predicted update distance \[21\] | related work (§2.1) |
 //! | [`policies::bplru::BplruCache`] | flash block | block LRU + seq demotion \[15\] | compared baseline |
 //! | [`policies::vbbms::VbbmsCache`] | virtual block | split random/seq regions \[16\] | compared baseline |
 //!
@@ -25,10 +20,11 @@
 //! [`WriteBuffer::write`] and [`WriteBuffer::read`] are **page-granular**:
 //! the simulator walks each request's LPNs in ascending order (Algorithm 1
 //! of the paper) and calls the buffer once per page, passing the request
-//! context ([`Access`]). When an insertion needs room, the policy appends
-//! [`EvictionBatch`]es describing which pages leave the cache and how the
-//! flush should be placed on flash ([`Placement`]); the simulator performs
-//! the actual flash traffic and timing.
+//! context ([`Access`]). Reads never insert, and the type enforces it:
+//! `read` has nowhere to put an eviction. When a write needs room, the
+//! policy appends [`EvictionBatch`]es describing which pages leave the
+//! cache and how the flush should be placed on flash ([`Placement`]); the
+//! simulator performs the actual flash traffic and timing.
 
 pub mod arena;
 pub mod fxhash;

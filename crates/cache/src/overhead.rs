@@ -8,12 +8,9 @@
 //! through [`crate::WriteBuffer::node_count`]; multiplying by these
 //! constants yields Figure 12's kilobyte numbers.
 
-/// Bytes per page node (LRU, FIFO, CFLRU).
+/// Bytes per page node (LRU).
 pub const PAGE_NODE_BYTES: usize = 12;
-/// Bytes per page node with a frequency counter (LFU; not in the paper's
-/// table — one extra u32 over a plain page node).
-pub const LFU_NODE_BYTES: usize = 16;
-/// Bytes per block / virtual-block node (BPLRU, FAB, VBBMS).
+/// Bytes per block / virtual-block node (BPLRU, VBBMS).
 pub const BLOCK_NODE_BYTES: usize = 24;
 /// Bytes per request-block node (Req-block).
 pub const REQ_BLOCK_NODE_BYTES: usize = 32;

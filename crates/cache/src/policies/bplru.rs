@@ -183,7 +183,7 @@ impl WriteBuffer for BplruCache {
         hit
     }
 
-    fn read(&mut self, a: &Access, _evictions: &mut Vec<EvictionBatch>) -> bool {
+    fn read(&mut self, a: &Access) -> bool {
         self.contains(a.lpn)
     }
 
@@ -295,7 +295,7 @@ mod tests {
         let mut c = bplru(4);
         write_seq(&mut c, &[0, 16]);
         let mut ev = Vec::new();
-        assert!(c.read(&Access { lpn: 0, req_id: 9, req_pages: 1, now: 5 }, &mut ev));
+        assert!(c.read(&Access { lpn: 0, req_id: 9, req_pages: 1, now: 5 }));
         c.write(&Access { lpn: 32, req_id: 10, req_pages: 1, now: 6 }, &mut ev);
         c.write(&Access { lpn: 33, req_id: 10, req_pages: 1, now: 7 }, &mut ev);
         c.write(&Access { lpn: 34, req_id: 10, req_pages: 1, now: 8 }, &mut ev);

@@ -76,7 +76,7 @@ impl WriteBuffer for LruCache {
         false
     }
 
-    fn read(&mut self, a: &Access, _evictions: &mut Vec<EvictionBatch>) -> bool {
+    fn read(&mut self, a: &Access) -> bool {
         if let Some(&h) = self.map.get(&a.lpn) {
             self.list.move_to_front(h);
             true
@@ -136,9 +136,8 @@ mod tests {
     fn read_hit_refreshes_recency() {
         let mut c = LruCache::new(2);
         write_seq(&mut c, &[1, 2]);
-        let mut ev = Vec::new();
         let a = Access { lpn: 1, req_id: 50, req_pages: 1, now: 5 };
-        assert!(c.read(&a, &mut ev));
+        assert!(c.read(&a));
         let ev = write_seq(&mut c, &[3]);
         // 2 was LRU after the read refreshed 1.
         assert_eq!(evicted_pages(&ev), vec![2]);
@@ -147,9 +146,8 @@ mod tests {
     #[test]
     fn read_miss_does_not_insert() {
         let mut c = LruCache::new(2);
-        let mut ev = Vec::new();
         let a = Access { lpn: 7, req_id: 1, req_pages: 1, now: 0 };
-        assert!(!c.read(&a, &mut ev));
+        assert!(!c.read(&a));
         assert_eq!(c.len_pages(), 0);
         assert!(!c.contains(7));
     }

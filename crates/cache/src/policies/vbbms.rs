@@ -215,7 +215,7 @@ impl WriteBuffer for VbbmsCache {
         false
     }
 
-    fn read(&mut self, a: &Access, _evictions: &mut Vec<EvictionBatch>) -> bool {
+    fn read(&mut self, a: &Access) -> bool {
         if self.random.contains(a.lpn) {
             self.random.touch(a.lpn);
             true
@@ -361,9 +361,9 @@ mod tests {
         let mut ev = Vec::new();
         small_write(&mut c, 0, 0, &mut ev);
         large_write(&mut c, 100, 1, &mut ev);
-        assert!(c.read(&Access { lpn: 0, req_id: 9, req_pages: 1, now: 2 }, &mut ev));
-        assert!(c.read(&Access { lpn: 100, req_id: 9, req_pages: 1, now: 3 }, &mut ev));
-        assert!(!c.read(&Access { lpn: 55, req_id: 9, req_pages: 1, now: 4 }, &mut ev));
+        assert!(c.read(&Access { lpn: 0, req_id: 9, req_pages: 1, now: 2 }));
+        assert!(c.read(&Access { lpn: 100, req_id: 9, req_pages: 1, now: 3 }));
+        assert!(!c.read(&Access { lpn: 55, req_id: 9, req_pages: 1, now: 4 }));
     }
 
     #[test]

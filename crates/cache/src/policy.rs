@@ -16,7 +16,7 @@ pub struct Access {
     /// Total pages of the enclosing request (`R_size` in Algorithm 1).
     pub req_pages: u32,
     /// Logical time: count of page accesses processed so far. Used as the
-    /// time base of the paper's Eq. 1 and for LFU/CFLRU tie-breaking.
+    /// time base of the paper's Eq. 1 (Req-block's victim priority).
     pub now: u64,
 }
 
@@ -27,7 +27,7 @@ pub struct Access {
 pub enum Placement {
     /// Stripe pages round-robin across chips — exploits channel parallelism.
     Striped,
-    /// Append the whole batch on one chip (BPLRU/FAB whole-block flushes).
+    /// Append the whole batch on one chip (BPLRU whole-block flushes).
     SingleBlock,
 }
 
@@ -44,9 +44,10 @@ pub struct EvictionBatch {
     /// Pages the simulator must *read from flash* before programming the
     /// batch (BPLRU page padding). Empty for every other policy.
     pub pad_reads: Vec<Lpn>,
-    /// `false` for clean pages that can be dropped without flash writes
-    /// (only possible when a policy caches read data, e.g. CFLRU with
-    /// `cache_reads`).
+    /// `false` would mark clean pages that can be dropped without flash
+    /// writes. No policy produces one: reads never insert, so every cached
+    /// page is dirty. The field stays because the repository benchmark
+    /// compiles against it.
     pub dirty: bool,
 }
 
@@ -111,10 +112,10 @@ pub trait WriteBuffer {
     /// evictions required to make room are appended to `evictions`.
     fn write(&mut self, a: &Access, evictions: &mut Vec<EvictionBatch>) -> bool;
 
-    /// Read one page. Returns `true` on a buffer hit. Policies that cache
-    /// read data may insert here (and thus evict); write-buffer policies
-    /// only update recency metadata.
-    fn read(&mut self, a: &Access, evictions: &mut Vec<EvictionBatch>) -> bool;
+    /// Read one page. Returns `true` on a buffer hit. Reads never insert
+    /// (the cache is a write buffer, paper §3.4) and so never evict; a hit
+    /// may only update recency metadata.
+    fn read(&mut self, a: &Access) -> bool;
 
     /// Number of policy metadata nodes currently allocated (list entries) —
     /// the basis of the paper's Figure 12 space-overhead model.

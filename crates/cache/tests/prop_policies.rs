@@ -10,10 +10,7 @@
 //!   policy against a reference implementation.
 
 use proptest::prelude::*;
-use reqblock_cache::policies::{
-    BplruCache, BplruConfig, CflruCache, CflruConfig, FabCache, FifoCache, LfuCache, LruCache,
-    PudLruCache, VbbmsCache, VbbmsConfig,
-};
+use reqblock_cache::policies::{BplruCache, BplruConfig, LruCache, VbbmsCache, VbbmsConfig};
 use reqblock_cache::{Access, Arena, ArenaId, EvictionBatch, FxHashMap, SlabList, WriteBuffer};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -30,15 +27,6 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 fn build_policies(capacity: usize) -> Vec<Box<dyn WriteBuffer>> {
     vec![
         Box::new(LruCache::new(capacity)),
-        Box::new(FifoCache::new(capacity)),
-        Box::new(LfuCache::new(capacity)),
-        Box::new(CflruCache::new(capacity, CflruConfig::default())),
-        Box::new(CflruCache::new(
-            capacity,
-            CflruConfig { window_fraction: 0.5, cache_reads: true },
-        )),
-        Box::new(FabCache::new(capacity, 8)),
-        Box::new(PudLruCache::new(capacity, 8)),
         Box::new(BplruCache::new(capacity, 8, BplruConfig::default())),
         Box::new(BplruCache::new(capacity, 8, BplruConfig { page_padding: true })),
         Box::new(VbbmsCache::new(capacity, VbbmsConfig::default())),
@@ -57,11 +45,7 @@ fn drive(buf: &mut dyn WriteBuffer, steps: &[Step]) -> Result<(), TestCaseError>
             let a = Access { lpn, req_id: req_id as u64, req_pages: pages as u32, now };
             ev.clear();
             let was_resident = resident.contains(&lpn);
-            let hit = if is_write {
-                buf.write(&a, &mut ev)
-            } else {
-                buf.read(&a, &mut ev)
-            };
+            let hit = if is_write { buf.write(&a, &mut ev) } else { buf.read(&a) };
             prop_assert_eq!(
                 hit,
                 was_resident,
@@ -77,9 +61,6 @@ fn drive(buf: &mut dyn WriteBuffer, steps: &[Step]) -> Result<(), TestCaseError>
                 }
             }
             if is_write {
-                resident.insert(lpn);
-            } else if !hit && buf.contains(lpn) {
-                // Read-caching policy inserted a clean page.
                 resident.insert(lpn);
             }
             prop_assert!(
@@ -304,7 +285,7 @@ proptest! {
                     }
                     model.push_front(lpn);
                 } else {
-                    let hit = lru.read(&a, &mut ev);
+                    let hit = lru.read(&a);
                     if let Some(pos) = model.iter().position(|&l| l == lpn) {
                         prop_assert!(hit);
                         model.remove(pos);

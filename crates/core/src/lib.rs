@@ -63,7 +63,7 @@
 //! assert_eq!(buf.list_occupancy(), Some([3, 0, 0]));
 //!
 //! // Re-reading any of its pages upgrades the whole small block to SRL.
-//! buf.read(&Access { lpn: 101, req_id: 2, req_pages: 1, now: 10 }, &mut evictions);
+//! buf.read(&Access { lpn: 101, req_id: 2, req_pages: 1, now: 10 });
 //! assert_eq!(buf.list_occupancy(), Some([0, 3, 0]));
 //! ```
 
@@ -521,7 +521,7 @@ impl WriteBuffer for ReqBlock {
         false
     }
 
-    fn read(&mut self, a: &Access, _evictions: &mut Vec<EvictionBatch>) -> bool {
+    fn read(&mut self, a: &Access) -> bool {
         if let Some(&(bid, pos)) = self.page_index.get(&a.lpn) {
             self.on_hit(a, bid, pos);
             true

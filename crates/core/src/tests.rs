@@ -25,18 +25,11 @@ fn write_req(
 }
 
 /// Read one multi-page request; returns page hits.
-fn read_req(
-    c: &mut ReqBlock,
-    req_id: u64,
-    start: Lpn,
-    pages: u64,
-    now: u64,
-    ev: &mut Vec<EvictionBatch>,
-) -> usize {
+fn read_req(c: &mut ReqBlock, req_id: u64, start: Lpn, pages: u64, now: u64) -> usize {
     let mut hits = 0;
     for i in 0..pages {
         let a = Access { lpn: start + i, req_id, req_pages: pages as u32, now: now + i };
-        if c.read(&a, ev) {
+        if c.read(&a) {
             hits += 1;
         }
     }
@@ -79,8 +72,7 @@ fn distinct_requests_form_distinct_blocks() {
 #[test]
 fn read_miss_does_not_insert() {
     let mut c = ReqBlock::new(64, ReqBlockConfig::paper());
-    let mut ev = Vec::new();
-    assert_eq!(read_req(&mut c, 1, 0, 4, 0, &mut ev), 0);
+    assert_eq!(read_req(&mut c, 1, 0, 4, 0), 0);
     assert_eq!(c.len_pages(), 0);
     assert_eq!(c.block_count(), 0);
 }
@@ -106,7 +98,7 @@ fn small_block_hit_promotes_to_srl() {
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 3, 0, &mut ev); // 3 <= delta=5: small
     assert_eq!(occupancy(&c), [3, 0, 0]);
-    read_req(&mut c, 2, 0, 1, 10, &mut ev);
+    read_req(&mut c, 2, 0, 1, 10);
     assert_eq!(occupancy(&c), [0, 3, 0], "whole small block moves to SRL");
     c.check_consistency().unwrap();
 }
@@ -117,7 +109,7 @@ fn delta_boundary_block_is_small() {
     let mut c = ReqBlock::new(64, cfg);
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 5, 0, &mut ev); // exactly delta
-    read_req(&mut c, 2, 0, 1, 10, &mut ev);
+    read_req(&mut c, 2, 0, 1, 10);
     assert_eq!(occupancy(&c), [0, 5, 0]);
 }
 
@@ -127,9 +119,9 @@ fn srl_block_rehit_moves_to_srl_head() {
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 2, 0, &mut ev);
     write_req(&mut c, 2, 10, 2, 10, &mut ev);
-    read_req(&mut c, 3, 0, 1, 20, &mut ev); // block A -> SRL
-    read_req(&mut c, 4, 10, 1, 30, &mut ev); // block B -> SRL head
-    read_req(&mut c, 5, 0, 1, 40, &mut ev); // block A back to head
+    read_req(&mut c, 3, 0, 1, 20); // block A -> SRL
+    read_req(&mut c, 4, 10, 1, 30); // block B -> SRL head
+    read_req(&mut c, 5, 0, 1, 40); // block A back to head
     assert_eq!(occupancy(&c), [0, 4, 0]);
     assert_eq!(c.block_count(), 2);
     c.check_consistency().unwrap();
@@ -144,7 +136,7 @@ fn large_block_hit_splits_page_to_drl() {
     let mut c = ReqBlock::new(64, ReqBlockConfig::paper());
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 8, 0, &mut ev); // 8 > delta: large
-    read_req(&mut c, 2, 3, 1, 10, &mut ev); // hit page 3
+    read_req(&mut c, 2, 3, 1, 10); // hit page 3
     assert_eq!(occupancy(&c), [7, 0, 1]);
     assert_eq!(c.block_count(), 2);
     assert!(c.contains(3));
@@ -156,7 +148,7 @@ fn consecutive_hit_pages_of_one_request_share_drl_block() {
     let mut c = ReqBlock::new(64, ReqBlockConfig::paper());
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 10, 0, &mut ev);
-    read_req(&mut c, 2, 2, 3, 10, &mut ev); // hits pages 2,3,4
+    read_req(&mut c, 2, 2, 3, 10); // hits pages 2,3,4
     assert_eq!(occupancy(&c), [7, 0, 3]);
     assert_eq!(c.block_count(), 2, "one original + one shared DRL block");
 }
@@ -166,8 +158,8 @@ fn hits_from_different_requests_create_separate_drl_blocks() {
     let mut c = ReqBlock::new(64, ReqBlockConfig::paper());
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 10, 0, &mut ev);
-    read_req(&mut c, 2, 0, 1, 10, &mut ev);
-    read_req(&mut c, 3, 5, 1, 20, &mut ev);
+    read_req(&mut c, 2, 0, 1, 10);
+    read_req(&mut c, 3, 5, 1, 20);
     assert_eq!(occupancy(&c), [8, 0, 2]);
     assert_eq!(c.block_count(), 3);
 }
@@ -177,9 +169,9 @@ fn split_block_grown_small_promotes_on_next_hit() {
     let mut c = ReqBlock::new(64, ReqBlockConfig::paper());
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 10, 0, &mut ev);
-    read_req(&mut c, 2, 4, 2, 10, &mut ev); // DRL block of 2 pages (small)
+    read_req(&mut c, 2, 4, 2, 10); // DRL block of 2 pages (small)
     assert_eq!(occupancy(&c), [8, 0, 2]);
-    read_req(&mut c, 3, 4, 1, 20, &mut ev); // hit the small split block
+    read_req(&mut c, 3, 4, 1, 20); // hit the small split block
     assert_eq!(occupancy(&c), [8, 2, 0], "split block upgraded to SRL");
     c.check_consistency().unwrap();
 }
@@ -191,9 +183,9 @@ fn shrunken_original_block_promotes_when_small() {
     let mut c = ReqBlock::new(64, ReqBlockConfig::paper());
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 7, 0, &mut ev); // large (7 > 5)
-    read_req(&mut c, 2, 0, 2, 10, &mut ev); // split 2 -> original has 5
+    read_req(&mut c, 2, 0, 2, 10); // split 2 -> original has 5
     assert_eq!(occupancy(&c), [5, 0, 2]);
-    read_req(&mut c, 3, 4, 1, 20, &mut ev); // original now small: promote
+    read_req(&mut c, 3, 4, 1, 20); // original now small: promote
     assert_eq!(occupancy(&c), [0, 5, 2]);
 }
 
@@ -206,7 +198,7 @@ fn full_rescan_splits_then_promotes_remainder() {
     let mut c = ReqBlock::new(64, ReqBlockConfig::paper());
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 6, 0, &mut ev);
-    read_req(&mut c, 2, 0, 6, 10, &mut ev);
+    read_req(&mut c, 2, 0, 6, 10);
     // Page 0 split (6 -> 5 pages); page 1 hit a now-small block -> SRL;
     // pages 2..5 hit the SRL block in place.
     assert_eq!(occupancy(&c), [0, 5, 1]);
@@ -222,9 +214,9 @@ fn drl_large_block_splits_again_on_hit() {
     let mut c = ReqBlock::new(64, ReqBlockConfig::paper());
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 12, 0, &mut ev);
-    read_req(&mut c, 2, 0, 7, 10, &mut ev); // 7 splits: DRL block of 7 (> delta)
+    read_req(&mut c, 2, 0, 7, 10); // 7 splits: DRL block of 7 (> delta)
     assert_eq!(occupancy(&c), [5, 0, 7]);
-    read_req(&mut c, 3, 2, 1, 20, &mut ev); // hit inside the large DRL block
+    read_req(&mut c, 3, 2, 1, 20); // hit inside the large DRL block
     assert_eq!(occupancy(&c), [5, 0, 7], "page moved between DRL blocks");
     assert_eq!(c.block_count(), 3);
     c.check_consistency().unwrap();
@@ -240,7 +232,7 @@ fn eviction_picks_cold_large_block_over_hot_small() {
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 6, 0, &mut ev); // large, cold
     write_req(&mut c, 2, 100, 2, 10, &mut ev); // small
-    read_req(&mut c, 3, 100, 2, 20, &mut ev); // promote to SRL, hot
+    read_req(&mut c, 3, 100, 2, 20); // promote to SRL, hot
     // Cache at 8/8: next insert evicts.
     ev.clear();
     write_req(&mut c, 4, 200, 1, 100, &mut ev);
@@ -313,7 +305,7 @@ fn merge_scenario(cfg: ReqBlockConfig) -> (ReqBlock, Vec<EvictionBatch>) {
     // separate DRL blocks; the origin keeps 6 pages (> delta, stays IRL)
     // with access_cnt 7.
     for (i, page) in (0..6u64).enumerate() {
-        read_req(&mut c, 2 + i as u64, page, 1, 10 + i as u64, &mut ev);
+        read_req(&mut c, 2 + i as u64, page, 1, 10 + i as u64);
     }
     assert_eq!(occupancy(&c), [6, 0, 6]);
     // Much later, new writes need space. At t=1000 the tails compare as
@@ -356,13 +348,13 @@ fn merge_skipped_when_origin_left_irl() {
     let mut c = ReqBlock::new(9, ReqBlockConfig::paper());
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 7, 0, &mut ev); // large (7 > 5)
-    read_req(&mut c, 2, 0, 1, 10, &mut ev); // split page 0 -> origin 6 pages
-    read_req(&mut c, 3, 1, 1, 11, &mut ev); // split page 1 -> origin 5 pages
-    read_req(&mut c, 4, 2, 1, 12, &mut ev); // origin small now -> SRL
+    read_req(&mut c, 2, 0, 1, 10); // split page 0 -> origin 6 pages
+    read_req(&mut c, 3, 1, 1, 11); // split page 1 -> origin 5 pages
+    read_req(&mut c, 4, 2, 1, 12); // origin small now -> SRL
     assert_eq!(occupancy(&c), [0, 5, 2]);
     // Heat the SRL origin so it outranks the DRL fragments.
     for t in 0..4 {
-        read_req(&mut c, 5 + t, 3, 1, 20 + t, &mut ev);
+        read_req(&mut c, 5 + t, 3, 1, 20 + t);
     }
     write_req(&mut c, 50, 100, 2, 1000, &mut ev); // fills to 9/9
     ev.clear();
@@ -385,7 +377,7 @@ fn split_disabled_keeps_large_blocks_whole() {
     let mut c = ReqBlock::new(64, cfg);
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 8, 0, &mut ev);
-    read_req(&mut c, 2, 3, 1, 10, &mut ev);
+    read_req(&mut c, 2, 3, 1, 10);
     assert_eq!(occupancy(&c), [8, 0, 0], "no DRL traffic");
     assert_eq!(c.block_count(), 1);
     c.check_consistency().unwrap();
@@ -411,7 +403,7 @@ fn drain_empties_everything_in_batches() {
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 6, 0, &mut ev);
     write_req(&mut c, 2, 10, 3, 10, &mut ev);
-    read_req(&mut c, 3, 10, 1, 20, &mut ev); // one block in SRL
+    read_req(&mut c, 3, 10, 1, 20); // one block in SRL
     let d = c.drain();
     let mut pages = evicted(&d);
     pages.sort_unstable();
@@ -427,8 +419,8 @@ fn list_occupancy_sums_to_len() {
     let mut ev = Vec::new();
     write_req(&mut c, 1, 0, 9, 0, &mut ev);
     write_req(&mut c, 2, 20, 2, 10, &mut ev);
-    read_req(&mut c, 3, 20, 2, 20, &mut ev);
-    read_req(&mut c, 4, 0, 2, 30, &mut ev);
+    read_req(&mut c, 3, 20, 2, 20);
+    read_req(&mut c, 4, 0, 2, 30);
     let occ = occupancy(&c);
     assert_eq!(occ.iter().sum::<usize>(), c.len_pages());
     assert!(occ[1] > 0 && occ[2] > 0);
@@ -496,7 +488,7 @@ fn fuzz_mixed_workload_maintains_invariants() {
         let now = r * 16;
         ev.clear();
         if x.is_multiple_of(3) {
-            read_req(&mut c, r, start, pages, now, &mut ev);
+            read_req(&mut c, r, start, pages, now);
         } else {
             let hits = write_req(&mut c, r, start, pages, now, &mut ev);
             inserted_total += pages as usize - hits;

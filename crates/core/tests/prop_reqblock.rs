@@ -53,7 +53,7 @@ proptest! {
                 let a = Access { lpn, req_id: req_id as u64, req_pages: pages as u32, now };
                 ev.clear();
                 let was_resident = resident.contains(&lpn);
-                let hit = if is_write { buf.write(&a, &mut ev) } else { buf.read(&a, &mut ev) };
+                let hit = if is_write { buf.write(&a, &mut ev) } else { buf.read(&a) };
                 prop_assert_eq!(hit, was_resident, "hit report wrong for lpn {}", lpn);
                 for batch in &ev {
                     prop_assert!(!batch.lpns.is_empty(), "empty eviction batch");

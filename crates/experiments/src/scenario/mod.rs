@@ -51,7 +51,6 @@ use crate::figures::{
 };
 use crate::report::{f2, f3, pct, Table};
 use reqblock_cache::fxhash::FxHasher;
-use reqblock_cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
 use reqblock_core::ReqBlockConfig;
 use reqblock_sim::{
     run_task_pool, ArrivalProcess, CacheSizeMb, FaultConfig, Job, JobPool, PolicyKind, RunResult,
@@ -597,15 +596,9 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
         ("policy", AxisValues::Strs(v)) => {
             for p in v {
                 if policy_by_name(p).is_none() {
-                    return err(format!(
-                        "unknown policy {p:?} (known: LRU, FIFO, LFU, CFLRU, FAB, PUD-LRU, \
-                         BPLRU, VBBMS, Req-block, or an ablation variant: {})",
-                        ablation_variants()
-                            .iter()
-                            .map(|(n, _)| format!("{n:?}"))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ));
+                    let known: Vec<String> =
+                        known_policies().map(|(n, _)| format!("{n:?}")).collect();
+                    return err(format!("unknown policy {p:?} (known: {})", known.join(", ")));
                 }
             }
         }
@@ -649,21 +642,16 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
     Ok(())
 }
 
+/// Every policy a `policy` axis accepts, by name: the paper's four schemes
+/// under their figure names, then the [`ablation_variants`].
+fn known_policies() -> impl Iterator<Item = (&'static str, PolicyKind)> {
+    PolicyKind::paper_comparison().into_iter().map(|p| (p.name(), p)).chain(ablation_variants())
+}
+
 /// Map a policy display name to its paper-default [`PolicyKind`], or an
 /// [`ablation_variants`] name to its variant.
 pub fn policy_by_name(name: &str) -> Option<PolicyKind> {
-    Some(match name {
-        "LRU" => PolicyKind::Lru,
-        "FIFO" => PolicyKind::Fifo,
-        "LFU" => PolicyKind::Lfu,
-        "CFLRU" => PolicyKind::Cflru(CflruConfig::default()),
-        "FAB" => PolicyKind::Fab,
-        "PUD-LRU" => PolicyKind::PudLru,
-        "BPLRU" => PolicyKind::Bplru(BplruConfig::default()),
-        "VBBMS" => PolicyKind::Vbbms(VbbmsConfig::default()),
-        "Req-block" => PolicyKind::ReqBlock(ReqBlockConfig::paper()),
-        _ => return ablation_variants().into_iter().find(|(n, _)| *n == name).map(|(_, p)| p),
-    })
+    known_policies().find(|(n, _)| *n == name).map(|(_, p)| p)
 }
 
 fn cache_from_mb(mb: i64) -> Option<CacheSizeMb> {

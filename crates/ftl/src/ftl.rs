@@ -639,8 +639,15 @@ impl Ftl {
     }
 
     /// Program one host/flush page on `chip` at `at`. Returns completion ns.
+    /// A page that arrives after the device turned read-only (an earlier
+    /// page of the same batch degraded it) is rejected like a whole batch
+    /// on a read-only device: counted, not programmed, no time charged.
     fn program_one(&mut self, chip: usize, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
         assert!(lpn < self.logical_pages(), "LPN {lpn} beyond device");
+        if self.health == Health::ReadOnly {
+            self.fstats.rejected_write_pages += 1;
+            return at;
+        }
         self.maybe_gc(chip, at, tl);
         if self.faults.is_inert() {
             self.invalidate_lpn(lpn);
@@ -1347,6 +1354,42 @@ mod tests {
         assert!(r > 10_000);
         assert!(ftl.is_mapped(0));
         ftl.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn pages_after_a_mid_batch_degradation_are_rejected() {
+        // Every erase fails and the read-only floor equals the GC floor, so
+        // the first GC round retires its victim and turns the device
+        // read-only from inside a batch: the GC runs before the program of
+        // the page after the one that opened a block below the floor.
+        let cfg = SsdConfig::tiny();
+        let fc = FaultConfig {
+            read_only_free_floor: cfg.gc_free_blocks_floor(),
+            ..FaultConfig::with_rates(7, 0, 0, PPM_SCALE)
+        };
+        let (mut ftl, mut tl, _cfg) = setup_faulty(fc);
+        let batch = 2 * cfg.pages_per_block as u64;
+        for round in 0..1_000u64 {
+            // Overwrite a 64-page window so GC victims hold invalid pages.
+            let lpns: Vec<Lpn> = (0..batch).map(|i| (round * batch + i) % 64).collect();
+            let programs_before = tl.counters().user_programs;
+            let rejected_before = ftl.fault_stats().rejected_write_pages;
+            ftl.write_pages(&lpns, round * 1_000_000, Placement::SingleBlock, &mut tl);
+            if !ftl.is_read_only() {
+                continue;
+            }
+            let programmed = tl.counters().user_programs - programs_before;
+            let rejected = ftl.fault_stats().rejected_write_pages - rejected_before;
+            assert!(programmed > 0, "the batch degraded the device, not its start");
+            assert!(
+                rejected > 0,
+                "pages after the degradation were programmed on a read-only device"
+            );
+            assert_eq!(programmed + rejected, batch);
+            ftl.check_consistency().unwrap();
+            return;
+        }
+        panic!("device never degraded");
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! Static dispatch over the cache-policy zoo.
+//! Static dispatch over the four cache policies.
 //!
 //! [`Device`](crate::Device) used to hold its policy as a
 //! `Box<dyn WriteBuffer>`, which costs an indirect call per buffered page —
 //! the single hottest call site in the simulator (every page of every
 //! request goes through `write`/`read`). [`PolicyBuffer`] closes the set:
-//! the nine policy implementations become enum variants, so the per-page
+//! the four policy implementations become enum variants, so the per-page
 //! calls devirtualize and inline into the engine loop, while everything
 //! cold (occupancy queries, event counters, telemetry) still goes through
 //! the trait object view returned by [`PolicyBuffer::as_dyn`].
 
-use reqblock_cache::policies::{
-    BplruCache, CflruCache, FabCache, FifoCache, LfuCache, LruCache, PudLruCache, VbbmsCache,
-};
+use reqblock_cache::policies::{BplruCache, LruCache, VbbmsCache};
 use reqblock_cache::{Access, EvictionBatch, WriteBuffer};
 use reqblock_core::ReqBlock;
 
@@ -21,16 +19,6 @@ use reqblock_core::ReqBlock;
 pub enum PolicyBuffer {
     /// Page-level LRU.
     Lru(LruCache),
-    /// Page-level FIFO.
-    Fifo(FifoCache),
-    /// Page-level LFU.
-    Lfu(LfuCache),
-    /// Clean-first LRU.
-    Cflru(CflruCache),
-    /// Flash-aware buffer.
-    Fab(FabCache),
-    /// Predicted-update-distance block buffer.
-    PudLru(PudLruCache),
     /// Block padding LRU.
     Bplru(BplruCache),
     /// Virtual-block split-region scheme.
@@ -43,11 +31,6 @@ macro_rules! each_policy {
     ($self:expr, $inner:ident => $body:expr) => {
         match $self {
             PolicyBuffer::Lru($inner) => $body,
-            PolicyBuffer::Fifo($inner) => $body,
-            PolicyBuffer::Lfu($inner) => $body,
-            PolicyBuffer::Cflru($inner) => $body,
-            PolicyBuffer::Fab($inner) => $body,
-            PolicyBuffer::PudLru($inner) => $body,
             PolicyBuffer::Bplru($inner) => $body,
             PolicyBuffer::Vbbms($inner) => $body,
             PolicyBuffer::ReqBlock($inner) => $body,
@@ -66,8 +49,8 @@ impl PolicyBuffer {
     /// Record a page read; returns whether it hit. See
     /// [`WriteBuffer::read`].
     #[inline]
-    pub fn read(&mut self, a: &Access, evictions: &mut Vec<EvictionBatch>) -> bool {
-        each_policy!(self, c => c.read(a, evictions))
+    pub fn read(&mut self, a: &Access) -> bool {
+        each_policy!(self, c => c.read(a))
     }
 
     /// Hand a flushed batch back for buffer reuse. See
@@ -94,24 +77,12 @@ impl PolicyBuffer {
 mod tests {
     use super::*;
     use crate::config::PolicyKind;
-    use reqblock_cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
-    use reqblock_core::ReqBlockConfig;
 
     #[test]
     fn enum_dispatch_matches_boxed_dispatch() {
         // Same access stream through the enum and the trait object must
         // produce identical hit/miss decisions and eviction batches.
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Lfu,
-            PolicyKind::Cflru(CflruConfig::default()),
-            PolicyKind::Fab,
-            PolicyKind::PudLru,
-            PolicyKind::Bplru(BplruConfig::default()),
-            PolicyKind::Vbbms(VbbmsConfig::default()),
-            PolicyKind::ReqBlock(ReqBlockConfig::paper()),
-        ] {
+        for kind in PolicyKind::paper_comparison() {
             let mut enum_buf = kind.build_buffer(16, 8);
             let mut boxed = kind.build(16, 8);
             let mut ev_a = Vec::new();
@@ -120,7 +91,7 @@ mod tests {
                 let lpn = (i * 7) % 48;
                 let a = Access { lpn, req_id: i, req_pages: 4, now: i * 100 };
                 let (ha, hb) = if i % 3 == 0 {
-                    (enum_buf.read(&a, &mut ev_a), boxed.read(&a, &mut ev_b))
+                    (enum_buf.read(&a), boxed.read(&a))
                 } else {
                     (enum_buf.write(&a, &mut ev_a), boxed.write(&a, &mut ev_b))
                 };

@@ -2,10 +2,7 @@
 
 use crate::buffer::PolicyBuffer;
 use crate::host::SubmitMode;
-use reqblock_cache::policies::{
-    BplruCache, BplruConfig, CflruCache, CflruConfig, FabCache, FifoCache, LfuCache, LruCache,
-    PudLruCache, VbbmsCache, VbbmsConfig,
-};
+use reqblock_cache::policies::{BplruCache, BplruConfig, LruCache, VbbmsCache, VbbmsConfig};
 use reqblock_cache::WriteBuffer;
 use reqblock_core::{ReqBlock, ReqBlockConfig};
 use reqblock_flash::{FaultConfig, SsdConfig};
@@ -55,16 +52,6 @@ impl std::fmt::Display for CacheSizeMb {
 pub enum PolicyKind {
     /// Page-level LRU (baseline).
     Lru,
-    /// Page-level FIFO.
-    Fifo,
-    /// Page-level LFU.
-    Lfu,
-    /// Clean-first LRU.
-    Cflru(CflruConfig),
-    /// Flash-aware buffer (largest-group eviction).
-    Fab,
-    /// Predicted-update-distance block buffer.
-    PudLru,
     /// Block padding LRU.
     Bplru(BplruConfig),
     /// Virtual-block split-region scheme.
@@ -89,11 +76,6 @@ impl PolicyKind {
     pub fn name(&self) -> &'static str {
         match self {
             PolicyKind::Lru => "LRU",
-            PolicyKind::Fifo => "FIFO",
-            PolicyKind::Lfu => "LFU",
-            PolicyKind::Cflru(_) => "CFLRU",
-            PolicyKind::Fab => "FAB",
-            PolicyKind::PudLru => "PUD-LRU",
             PolicyKind::Bplru(_) => "BPLRU",
             PolicyKind::Vbbms(_) => "VBBMS",
             PolicyKind::ReqBlock(_) => "Req-block",
@@ -105,11 +87,6 @@ impl PolicyKind {
     pub fn build(&self, cache_pages: usize, pages_per_block: usize) -> Box<dyn WriteBuffer> {
         match *self {
             PolicyKind::Lru => Box::new(LruCache::new(cache_pages)),
-            PolicyKind::Fifo => Box::new(FifoCache::new(cache_pages)),
-            PolicyKind::Lfu => Box::new(LfuCache::new(cache_pages)),
-            PolicyKind::Cflru(cfg) => Box::new(CflruCache::new(cache_pages, cfg)),
-            PolicyKind::Fab => Box::new(FabCache::new(cache_pages, pages_per_block)),
-            PolicyKind::PudLru => Box::new(PudLruCache::new(cache_pages, pages_per_block)),
             PolicyKind::Bplru(cfg) => Box::new(BplruCache::new(cache_pages, pages_per_block, cfg)),
             PolicyKind::Vbbms(cfg) => Box::new(VbbmsCache::new(cache_pages, cfg)),
             PolicyKind::ReqBlock(cfg) => Box::new(ReqBlock::new(cache_pages, cfg)),
@@ -121,13 +98,6 @@ impl PolicyKind {
     pub fn build_buffer(&self, cache_pages: usize, pages_per_block: usize) -> PolicyBuffer {
         match *self {
             PolicyKind::Lru => PolicyBuffer::Lru(LruCache::new(cache_pages)),
-            PolicyKind::Fifo => PolicyBuffer::Fifo(FifoCache::new(cache_pages)),
-            PolicyKind::Lfu => PolicyBuffer::Lfu(LfuCache::new(cache_pages)),
-            PolicyKind::Cflru(cfg) => PolicyBuffer::Cflru(CflruCache::new(cache_pages, cfg)),
-            PolicyKind::Fab => PolicyBuffer::Fab(FabCache::new(cache_pages, pages_per_block)),
-            PolicyKind::PudLru => {
-                PolicyBuffer::PudLru(PudLruCache::new(cache_pages, pages_per_block))
-            }
             PolicyKind::Bplru(cfg) => {
                 PolicyBuffer::Bplru(BplruCache::new(cache_pages, pages_per_block, cfg))
             }
@@ -263,17 +233,7 @@ mod tests {
 
     #[test]
     fn build_constructs_each_policy() {
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Lfu,
-            PolicyKind::Cflru(CflruConfig::default()),
-            PolicyKind::Fab,
-            PolicyKind::PudLru,
-            PolicyKind::Bplru(BplruConfig::default()),
-            PolicyKind::Vbbms(VbbmsConfig::default()),
-            PolicyKind::ReqBlock(ReqBlockConfig::paper()),
-        ] {
+        for kind in PolicyKind::paper_comparison() {
             let buf = kind.build(128, 64);
             assert_eq!(buf.capacity_pages(), 128);
             assert_eq!(buf.len_pages(), 0);

@@ -91,12 +91,15 @@ impl Device {
         self.cache.write(a, evictions)
     }
 
-    /// Record a page read in the buffer; same contract as
-    /// [`Device::buffer_write`]. A miss must be followed by a
-    /// [`Device::flash_read`] to obtain its timing.
+    /// Record a page read in the buffer. Returns whether it hit. A miss
+    /// must be followed by a [`Device::flash_read`] to obtain its timing.
+    ///
+    /// Reads never insert, so this never appends to `evictions`. The
+    /// parameter stays so the signature matches [`Device::buffer_write`]
+    /// for the repository benchmark, which compiles against it.
     #[inline]
-    pub fn buffer_read(&mut self, a: &Access, evictions: &mut Vec<EvictionBatch>) -> bool {
-        self.cache.read(a, evictions)
+    pub fn buffer_read(&mut self, a: &Access, _evictions: &mut Vec<EvictionBatch>) -> bool {
+        self.cache.read(a)
     }
 
     /// Hint that `lpn` may shortly need a [`Device::flash_read`]: warms the

@@ -364,26 +364,6 @@ impl Engine {
                             hit,
                         });
                     }
-                    // Read-caching policies (CFLRU ablation) may evict here;
-                    // same stall rules as the write path.
-                    if !evictions.is_empty() {
-                        for batch in evictions.drain(..) {
-                            let (visible, gc_ns) =
-                                self.settle_flush(&batch, at, on, attr_on, rec, window);
-                            if attr_on {
-                                attribute_advance(
-                                    &mut done,
-                                    visible,
-                                    &mut parts,
-                                    &[(Component::GcInterference, gc_ns)],
-                                    Component::FlushStall,
-                                );
-                            } else {
-                                done = done.max(visible);
-                            }
-                            self.device.recycle(batch);
-                        }
-                    }
                 }
             }
         }

@@ -25,7 +25,9 @@ pub struct Metrics {
     pub evictions: u64,
     /// Pages evicted across all evictions (dirty flushes).
     pub evicted_pages: u64,
-    /// Clean pages dropped without flash writes (read-caching policies).
+    /// Clean pages dropped without flash writes. Always 0: no policy
+    /// inserts on a read, so no batch is clean. Kept for the telemetry
+    /// counter and the repository benchmark, which read it.
     pub clean_dropped_pages: u64,
     /// Pages read from flash for BPLRU-style padding.
     pub pad_read_pages: u64,

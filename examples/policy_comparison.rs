@@ -1,4 +1,4 @@
-//! Compare every implemented cache policy on one workload.
+//! Compare the paper's four cache policies on one workload.
 //!
 //! ```text
 //! cargo run --release --example policy_comparison [trace] [scale]
@@ -6,10 +6,9 @@
 //!
 //! `trace` is one of `hm_1 | lun_1 | usr_0 | src1_2 | ts_0 | proj_0`
 //! (default `src1_2`), `scale` the trace scale factor (default 0.05). The
-//! example runs all nine policies — the paper's four compared schemes plus
-//! the cited FIFO/LFU/CFLRU/FAB/PUD-LRU — on the paper's SSD with a 32 MB cache.
+//! example runs LRU, BPLRU, VBBMS and Req-block (the schemes of the paper's
+//! Figures 8-12) on the paper's SSD with a 32 MB cache.
 
-use reqblock::cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
 use reqblock::prelude::*;
 use reqblock::trace::profiles::profile_by_name;
 
@@ -24,24 +23,12 @@ fn main() {
     let profile = profile.scaled(scale);
     println!("trace {} at scale {scale} ({} requests), 32MB cache\n", profile.name, profile.requests);
 
-    let policies = [
-        PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Lfu,
-        PolicyKind::Cflru(CflruConfig::default()),
-        PolicyKind::Fab,
-        PolicyKind::PudLru,
-        PolicyKind::Bplru(BplruConfig::default()),
-        PolicyKind::Vbbms(VbbmsConfig::default()),
-        PolicyKind::ReqBlock(ReqBlockConfig::paper()),
-    ];
-
     println!(
         "{:<10} {:>9} {:>12} {:>11} {:>12} {:>10}",
         "policy", "hit %", "resp ms", "evict pgs", "flash wr", "meta KB"
     );
     let mut rows: Vec<(String, f64)> = Vec::new();
-    for policy in policies {
+    for policy in PolicyKind::paper_comparison() {
         let cfg = SimConfig::paper(CacheSizeMb::Mb32, policy);
         let r = run_trace(&cfg, SyntheticTrace::new(profile.clone()));
         println!(

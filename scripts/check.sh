@@ -8,7 +8,8 @@
 # - every test of every workspace crate: the root integration suites plus
 #   the crate unit, doc and property tests (including the Perfetto
 #   trace-JSON smoke test, tests/trace_smoke.rs);
-# - the scenarios/smoke.toml digest against its pinned value;
+# - the scenarios/smoke.toml digest against its pinned value (read from
+#   SMOKE_DIGEST in tests/scenario.rs, so it is stored once);
 # - an explicit release run of tests/fleet.rs (the small-fleet golden plus
 #   the streaming merge-equivalence proptests pinning the loser-tree order
 #   and the stream-vs-reference FleetMetrics against the materialize+sort
@@ -46,7 +47,13 @@ echo "== cargo test --workspace =="
 cargo test -q --workspace
 
 echo "== scenario smoke (scenarios/smoke.toml vs pinned digest) =="
-SMOKE_WANT="[digest smoke 8b55b878785a2112]"
+# The pinned value lives once, as SMOKE_DIGEST in tests/scenario.rs.
+SMOKE_HEX=$(sed -nE 's/^const SMOKE_DIGEST: u64 = 0x([0-9a-f]{16});$/\1/p' tests/scenario.rs)
+if [[ ! "$SMOKE_HEX" =~ ^[0-9a-f]{16}$ ]]; then
+    echo "FAIL: no single 'const SMOKE_DIGEST: u64 = 0x<16 hex digits>;' line in tests/scenario.rs" >&2
+    exit 1
+fi
+SMOKE_WANT="[digest smoke $SMOKE_HEX]"
 SMOKE_GOT=$(./target/release/repro --scale 0.001 --threads 2 --out /tmp/reqblock_smoke \
     run scenarios/smoke.toml 2>/dev/null | grep '^\[digest smoke ' || true)
 if [[ "$SMOKE_GOT" != "$SMOKE_WANT" ]]; then

@@ -30,7 +30,9 @@ const PINNED: [(&str, u64); 12] = [
     ("load", 0x0013853ddd9d794d),
 ];
 
-/// The `scenarios/smoke.toml` digest pinned by scripts/check.sh.
+/// The `scenarios/smoke.toml` digest. scripts/check.sh reads its pinned
+/// value from this line, so keep it one `const` line of 16 lowercase hex
+/// digits.
 const SMOKE_DIGEST: u64 = 0x8b55b878785a2112;
 
 #[test]
@@ -102,6 +104,43 @@ fn scenario_rejections_name_the_problem() {
     for (src, needle) in cases {
         let err = Scenario::parse(src).unwrap_err().to_string();
         assert!(err.to_lowercase().contains(needle), "error {err:?} should mention {needle:?}");
+    }
+}
+
+#[test]
+fn unknown_policy_error_lists_exactly_the_accepted_names() {
+    let accepted = [
+        "LRU",
+        "BPLRU",
+        "VBBMS",
+        "Req-block",
+        "Req-block (paper)",
+        "A1: no DRL split",
+        "A2: no downgraded merge",
+        "A3: Eq.1 without size term",
+        "A3: Eq.1 without age term",
+        "BPLRU without padding",
+        "A4: BPLRU with padding",
+    ];
+    for name in accepted {
+        assert!(scenario::policy_by_name(name).is_some(), "{name:?} must resolve");
+    }
+    for gone in ["FIFO", "CFLRU", "LFU", "FAB", "PUD-LRU"] {
+        assert!(scenario::policy_by_name(gone).is_none(), "{gone:?} must not resolve");
+        let src = format!(
+            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"{gone}\"\n"
+        );
+        let err: scenario::ScenarioError = Scenario::parse(&src).unwrap_err();
+        let msg = err.to_string();
+        let prefix = format!("unknown policy {gone:?} (known: ");
+        let list = msg
+            .strip_prefix(&prefix)
+            .and_then(|rest| rest.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("unexpected error text {msg:?}"));
+        let listed: Vec<String> = list.split(", ").map(str::to_string).collect();
+        let want: Vec<String> = accepted.iter().map(|n| format!("{n:?}")).collect();
+        assert_eq!(listed, want, "{gone}: the error must list exactly the accepted names");
     }
 }
 
